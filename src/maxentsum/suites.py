@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .kernels import fold_rows, seeded_rng
 from .parallel import ordered_map
 from .pmf import Pmf, _entropy_bits, convolve, mixture, residue_decompose
 from .ulc import (
@@ -68,17 +69,6 @@ def _chunks(trials: int) -> list[tuple[int, int, int]]:
     return plan
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-def _batch_convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
-    for k in range(a.shape[1]):
-        out[:, k : k + b.shape[1]] += a[:, k : k + 1] * b
-    return out
-
-
 def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
     """Conditional ultra-log-concavity of residue classes on random products.
 
@@ -91,11 +81,9 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
 
     def work(chunk: tuple[int, int, int]):
         index, offset, size = chunk
-        rng = _chunk_rng(seed, index)
+        rng = seeded_rng(seed, index)
         draws = [rng.dirichlet(np.ones(r + 1), size=size) for _ in range(n)]
-        sums = draws[0]
-        for block in draws[1:]:
-            sums = _batch_convolve_rows(sums, block)
+        sums = fold_rows(np.stack(draws, axis=1))
         violations: list[dict] = []
         worst = math.inf
         for j in range(r):
@@ -146,7 +134,7 @@ def identity_suite(trials: int, seed: int = 0) -> SuiteReport:
 
     def work(chunk: tuple[int, int, int]):
         index, offset, size = chunk
-        rng = _chunk_rng(seed, index)
+        rng = seeded_rng(seed, index)
         factors = [rng.dirichlet(np.ones(3), size=size) for _ in range(3)]
         tensor = np.einsum("ti,tj,tk->tijk", *factors)
         masses = ternary_sum_masses(tensor)
@@ -201,7 +189,7 @@ def sign_suite(trials: int, seed: int = 0, strictness: float = 1e-9) -> SuiteRep
 
     def work(chunk: tuple[int, int, int]):
         index, offset, size = chunk
-        rng = _chunk_rng(seed, index)
+        rng = seeded_rng(seed, index)
         factors = []
         for _ in range(3):
             f = rng.dirichlet(np.ones(3), size=size)
@@ -270,7 +258,7 @@ def preserve_suite(trials: int, seed: int = 0, max_order: int = 8) -> SuiteRepor
 
     def work(chunk: tuple[int, int, int]):
         index, offset, size = chunk
-        rng = _chunk_rng(seed, index)
+        rng = seeded_rng(seed, index)
         orders = rng.integers(1, max_order + 1, size=size)
         weights = rng.uniform(0.0, 1.0, size=size)
         violations: list[dict] = []
@@ -321,7 +309,7 @@ def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> Sui
 
     def work(chunk: tuple[int, int, int]):
         index, offset, size = chunk
-        rng = _chunk_rng(seed, index)
+        rng = seeded_rng(seed, index)
         violations: list[dict] = []
         worst = {"reassembly": 0.0, "entropy": 0.0, "mixture": 0.0, "splitting": 0.0}
 

@@ -21,6 +21,7 @@ from maxentsum import (
     restricted_maximize,
     sum_distribution,
 )
+from maxentsum import optimize
 
 LOG2E = math.log2(math.e)
 
@@ -60,7 +61,6 @@ class TestOptimizerConfig:
             {"inner_tol": 0.0},
             {"outer_tol": -1.0},
             {"max_outer_sweeps": 0},
-            {"step_rule": "newton"},
         ],
     )
     def test_validation(self, kwargs):
@@ -125,15 +125,6 @@ class TestBlockAscend:
             after = entropy(sum_distribution(updated))
             assert after >= before - 1e-12
 
-    def test_fixed_step_rule_is_monotone_too(self):
-        rng = np.random.default_rng(42)
-        cfg = OptimizerConfig(step_rule="fixed")
-        for _ in range(10):
-            inputs = random_inputs(rng, 2, 3)
-            before = entropy(sum_distribution(inputs))
-            updated = [block_ascend(inputs, 0, cfg), inputs[1]]
-            assert entropy(sum_distribution(updated)) >= before - 1e-12
-
 
 class TestMultistart:
     def test_single_summand_reaches_uniform(self):
@@ -177,6 +168,57 @@ class TestMultistart:
         result = multistart_maximize(2, 1, cfg)
         assert len(result.per_start) == 4
         assert result.best_value == pytest.approx(1.5, abs=1e-7)
+
+
+class TestConvergenceFlag:
+    def test_spent_inner_budget_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_MAX_INNER", 2)
+        result = multistart_maximize(2, 3, OptimizerConfig(starts=4, seed=0))
+        assert result.converged_fraction() < 1
+        assert "inner_budget" in {rec.reason for rec in result.per_start}
+
+    def test_sweep_cap_is_not_converged(self):
+        result = multistart_maximize(2, 2, OptimizerConfig(starts=3, seed=0, max_outer_sweeps=1))
+        assert result.converged_fraction() == 0.0
+        assert {rec.reason for rec in result.per_start} == {"max_outer_sweeps"}
+        assert all(rec.sweeps == 1 for rec in result.per_start)
+
+    def test_reason_matches_flag(self):
+        result = multistart_maximize(3, 2, OptimizerConfig(starts=6, seed=3))
+        for rec in result.per_start:
+            assert rec.converged == (rec.reason == "stationary")
+            assert rec.reason in optimize.REASONS
+            assert math.isfinite(rec.gap)
+
+
+class TestLockstepDeterminism:
+    @pytest.mark.parametrize("n, r", [(2, 3), (3, 2)])
+    def test_start_does_not_depend_on_its_batch(self, n, r):
+        alone = multistart_maximize(n, r, OptimizerConfig(starts=1, include_conjectured_start=False))
+        batched = multistart_maximize(n, r, OptimizerConfig(starts=8, include_conjectured_start=False))
+        a, b = alone.per_start[0], batched.per_start[0]
+        assert (a.value, a.sweeps, a.converged) == (b.value, b.sweeps, b.converged)
+
+    def test_results_do_not_depend_on_chunks_or_workers(self, monkeypatch):
+        cfg = OptimizerConfig(starts=8, seed=5)
+        reference = multistart_maximize(2, 3, cfg).as_dict()
+        monkeypatch.setattr(optimize, "_START_CHUNK", 3)  # three jobs for the pool
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MAXENT_THREADS", threads)
+            assert multistart_maximize(2, 3, cfg).as_dict() == reference
+
+    def test_starts_are_dispatched_through_ordered_map(self, monkeypatch):
+        jobs = []
+        original = optimize.ordered_map
+
+        def recording(fn, items):
+            jobs.extend(items)
+            return original(fn, items)
+
+        monkeypatch.setattr(optimize, "ordered_map", recording)
+        result = multistart_maximize(2, 2, OptimizerConfig(starts=5, seed=1))
+        assert jobs == [list(range(6))]  # one job: five random starts, then the conjectured one
+        assert [rec.start_id for rec in result.per_start] == list(range(6))
 
 
 class TestRestricted:

@@ -13,7 +13,8 @@ from maxentsum import (
     sign_suite,
     ulc_suite,
 )
-from maxentsum.suites import CHUNK_SIZE, SuiteReport, _chunk_rng
+from maxentsum.kernels import seeded_rng
+from maxentsum.suites import CHUNK_SIZE, SuiteReport
 
 
 class TestSuitesPass:
@@ -82,7 +83,7 @@ class TestUlcSuiteMatchesReportOperation:
         # per-instance report; both routes must agree that nothing fails.
         n, r, trials, seed = 2, 3, 150, 17
         report = ulc_suite(n, r, trials=trials, seed=seed)
-        rng = _chunk_rng(seed, 0)
+        rng = seeded_rng(seed, 0)
         draws = [rng.dirichlet(np.ones(r + 1), size=trials) for _ in range(n)]
         failing = {v["trial"] for v in report.violations}
         for t in range(trials):
