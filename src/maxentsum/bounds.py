@@ -107,7 +107,7 @@ def _terms_at(w: float, n: int, r: int) -> BoundTerms:
     hn1 = binomial_half_entropy(n - 1)
     return BoundTerms(
         binomial_term=w * hn,
-        shifted_term=(1.0 - w) * (hn1 + math.log2(r - 1)) if r > 1 else 0.0,
+        shifted_term=(1.0 - w) * (hn1 + math.log2(r - 1)),
         weight_entropy=binary_entropy(w),
     )
 

@@ -17,8 +17,9 @@ import time
 
 from . import suites
 from .bounds import conjectured_inputs, entropy_lower_bound
-from .errors import MaxentsumError
+from .errors import DomainError, MaxentsumError
 from .optimize import OptimizerConfig, multistart_maximize, restricted_maximize
+from .parallel import thread_count
 from .pmf import sum_distribution, write_pmf
 
 EXIT_OK = 0
@@ -33,6 +34,41 @@ CSV_HEADER = (
 )
 
 SUITE_NAMES = ("ulc", "identity", "sign", "preserve", "decomposition")
+
+#: Type and help of every setting; ``bool`` settings are flags without a value.
+SETTINGS = {
+    "n": (int, "number of summands"),
+    "r": (int, "variables take values in {0, ..., r}"),
+    "ell": (int, "restrict blocks ell+1..n to the two-point support {0, r}"),
+    "n-max": (int, "largest n of the grid"),
+    "r-max": (int, "largest r of the grid"),
+    "starts": (int, "random optimizer starts"),
+    "seed": (int, "deterministic master seed"),
+    "tol": (float, "tolerance"),
+    "trials": (int, "Monte Carlo trials"),
+    "suite": (str, "verification suite"),
+    "out": (str, "output file path"),
+    "json": (bool, "machine-readable output"),
+    "no-timing": (bool, "zero out wall-time columns for byte-stable output"),
+    "strict-conjecture": (bool, "exit 1 when any gap exceeds the tolerance"),
+}
+
+#: Help for the settings whose meaning depends on the subcommand.
+_HELP = {
+    ("optimize", "tol"): "outer tolerance of the optimizer (default 1e-12)",
+    ("sweep", "tol"): "gap above which a cell is a potential counterexample (default 1e-6)",
+    ("construct", "out"): "directory for the pmf files",
+}
+
+#: The settings each subcommand reads.  The parser, the ``--config`` key check
+#: and the ``MAXENT_*`` lookup all come from this table.
+COMMAND_SETTINGS = {
+    "bound": ("n", "r", "json"),
+    "construct": ("n", "r", "out"),
+    "optimize": ("n", "r", "ell", "starts", "seed", "tol", "json"),
+    "sweep": ("n-max", "r-max", "starts", "seed", "tol", "no-timing", "out", "strict-conjecture"),
+    "verify": ("suite", "n", "r", "trials", "seed", "out"),
+}
 
 
 class _UsageError(Exception):
@@ -76,18 +112,25 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 class _Settings:
-    """Flag > config file > MAXENT_* environment > default."""
+    """Flag > config file > MAXENT_* environment > default, for one subcommand."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        path = getattr(args, "config", None)
         try:
-            self.config = _load_config(path) if path else {}
+            self.config = _load_config(args.config) if args.config else {}
         except OSError as exc:
             raise _UsageError(f"cannot read config file: {exc}") from exc
+        unknown = [key for key in self.config if key not in COMMAND_SETTINGS[args.command]]
+        if unknown:
+            raise _UsageError(f"config keys not read by {args.command}: {', '.join(unknown)}")
 
-    def get(self, name: str, cast, default=None, required: bool = False):
-        value = getattr(self.args, name.replace("-", "_"), None)
+    def given(self, name: str) -> bool:
+        """Whether the flag or the config file sets ``name``."""
+        return getattr(self.args, name.replace("-", "_")) is not None or name in self.config
+
+    def get(self, name: str, default=None, required: bool = False):
+        cast = SETTINGS[name][0]
+        value = getattr(self.args, name.replace("-", "_"))
         if value is None and name in self.config:
             value = self._cast(cast, self.config[name], f"config key '{name}'")
         if value is None:
@@ -113,12 +156,11 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    cfg = _Settings(args)
-    n = cfg.get("n", int, required=True)
-    r = cfg.get("r", int, required=True)
+def _cmd_bound(cfg: _Settings) -> int:
+    n = cfg.get("n", required=True)
+    r = cfg.get("r", required=True)
     report = entropy_lower_bound(n, r)
-    if cfg.get("json", bool, default=False):
+    if cfg.get("json", default=False):
         _print_json(report.as_dict())
     else:
         print(f"n = {report.n}")
@@ -132,47 +174,39 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _Settings(args)
-    n = cfg.get("n", int, required=True)
-    r = cfg.get("r", int, required=True)
-    out_dir = cfg.get("out", str, required=True)
+def _cmd_construct(cfg: _Settings) -> int:
+    n = cfg.get("n", required=True)
+    r = cfg.get("r", required=True)
+    out_dir = cfg.get("out", required=True)
     inputs = conjectured_inputs(n, r)
-    total = sum_distribution(inputs)
+    names = [f"input_{i:02d}.pmf" for i in range(1, len(inputs) + 1)] + ["sum.pmf"]
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for i, pmf in enumerate(inputs, start=1):
-        path = os.path.join(out_dir, f"input_{i:02d}.pmf")
+    for name, pmf in zip(names, [*inputs, sum_distribution(inputs)]):
+        path = os.path.join(out_dir, name)
         write_pmf(pmf, path)
-        paths.append(path)
-    sum_path = os.path.join(out_dir, "sum.pmf")
-    write_pmf(total, sum_path)
-    paths.append(sum_path)
-    for path in paths:
         print(path)
     return EXIT_OK
 
 
-def _optimizer_config(cfg: _Settings) -> OptimizerConfig:
+def _optimizer_config(cfg: _Settings, tol: float = OptimizerConfig.outer_tol) -> OptimizerConfig:
     return OptimizerConfig(
-        starts=cfg.get("starts", int, default=64),
-        seed=cfg.get("seed", int, default=0),
-        outer_tol=cfg.get("tol", float, default=1e-12),
+        starts=cfg.get("starts", default=64),
+        seed=cfg.get("seed", default=0),
+        outer_tol=tol,
     )
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = _Settings(args)
-    n = cfg.get("n", int, required=True)
-    r = cfg.get("r", int, required=True)
-    ell = cfg.get("ell", int)
-    oc = _optimizer_config(cfg)
+def _cmd_optimize(cfg: _Settings) -> int:
+    n = cfg.get("n", required=True)
+    r = cfg.get("r", required=True)
+    ell = cfg.get("ell")
+    oc = _optimizer_config(cfg, cfg.get("tol", default=OptimizerConfig.outer_tol))
     if ell is None:
         result = multistart_maximize(n, r, oc)
     else:
         result = restricted_maximize(n, r, ell, oc)
     bound = entropy_lower_bound(n, r).bound_bits
-    if cfg.get("json", bool, default=False):
+    if cfg.get("json", default=False):
         payload = result.as_dict()
         payload.update({"n": n, "r": r, "ell": ell, "bound_bits": float(bound)})
         _print_json(payload)
@@ -188,15 +222,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _Settings(args)
-    n_max = cfg.get("n-max", int, required=True)
-    r_max = cfg.get("r-max", int, required=True)
+def _cmd_sweep(cfg: _Settings) -> int:
+    n_max = cfg.get("n-max", required=True)
+    r_max = cfg.get("r-max", required=True)
     if n_max < 1 or r_max < 1:
         raise _UsageError("--n-max and --r-max must be >= 1")
-    gap_tol = cfg.get("tol", float, default=1e-6)
-    no_timing = cfg.get("no-timing", bool, default=False)
-    strict = cfg.get("strict-conjecture", bool, default=False)
+    gap_tol = cfg.get("tol", default=1e-6)
+    no_timing = cfg.get("no-timing", default=False)
+    strict = cfg.get("strict-conjecture", default=False)
     oc = _optimizer_config(cfg)
 
     lines = [CSV_HEADER]
@@ -227,7 +260,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
     body = "\n".join(lines) + "\n"
 
-    out_path = cfg.get("out", str)
+    out_path = cfg.get("out")
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(body)
@@ -253,23 +286,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _Settings(args)
-    suite = args.suite
-    trials = cfg.get("trials", int, default=10_000)
-    seed = cfg.get("seed", int, default=0)
+def _cmd_verify(cfg: _Settings) -> int:
+    suite = cfg.get("suite", required=True)
+    if suite not in SUITE_NAMES:
+        raise _UsageError(f"unknown suite {suite!r}: use one of {', '.join(SUITE_NAMES)}")
+    reads = {"ulc": ("n", "r"), "decomposition": ("r",)}.get(suite, ())
+    for name in ("n", "r"):
+        if cfg.given(name) and name not in reads:
+            raise _UsageError(f"suite {suite} does not read --{name}")
+    trials = cfg.get("trials", default=10_000)
+    seed = cfg.get("seed", default=0)
     if suite == "ulc":
         report = suites.ulc_suite(
-            cfg.get("n", int, default=2), cfg.get("r", int, default=2), trials, seed
+            cfg.get("n", default=2), cfg.get("r", default=2), trials, seed
         )
-    elif suite == "identity":
-        report = suites.identity_suite(trials, seed)
-    elif suite == "sign":
-        report = suites.sign_suite(trials, seed)
-    elif suite == "preserve":
-        report = suites.preserve_suite(trials, seed)
+    elif suite == "decomposition":
+        report = suites.decomposition_suite(trials, seed, r=cfg.get("r"))
     else:
-        report = suites.decomposition_suite(trials, seed, r=cfg.get("r", int))
+        report = getattr(suites, f"{suite}_suite")(trials, seed)
     print(f"suite = {report.suite}")
     print(f"trials = {report.trials}")
     print(f"seed = {report.seed}")
@@ -277,7 +311,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for key, value in sorted(report.stats.items()):
         rendered = _human(value) if isinstance(value, float) else value
         print(f"{key} = {rendered}")
-    out_path = cfg.get("out", str)
+    out_path = cfg.get("out")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(report.as_dict(), fh, indent=2)
@@ -289,80 +323,44 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATIONS
 
 
-def _cmd_identity(args: argparse.Namespace) -> int:
-    cfg = _Settings(args)
-    trials = cfg.get("trials", int, default=10_000)
-    seed = cfg.get("seed", int, default=0)
-    report = suites.identity_suite(trials, seed)
-    if cfg.get("json", bool, default=False):
-        _print_json(report.as_dict())
-    else:
-        print(f"trials = {report.trials}")
-        print(f"violations = {len(report.violations)}")
-        print(f"max_relative_gap = {_human(report.stats['max_relative_gap'])}")
-        print(f"min_even_expansion = {_human(report.stats['min_even_expansion'])}")
-    return EXIT_OK if report.passed else EXIT_VIOLATIONS
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key = value settings file")
-    common.add_argument("--n", type=int, default=None, help="number of summands")
-    common.add_argument("--r", type=int, default=None, help="variables take values in {0, ..., r}")
-    common.add_argument("--seed", type=int, default=None, help="deterministic master seed")
-    common.add_argument("--starts", type=int, default=None, help="random optimizer starts")
-    common.add_argument("--tol", type=float, default=None, help="tolerance (command specific)")
-    common.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    common.add_argument("--out", default=None, help="output path (command specific)")
-    common.add_argument("--json", action="store_const", const=True, default=None,
-                        help="machine-readable output")
-    common.add_argument("--no-timing", dest="no_timing", action="store_const", const=True,
-                        default=None, help="zero out wall-time columns for byte-stable output")
-
     parser = argparse.ArgumentParser(
         prog="maxentsum",
         description="Bounds, constructions and numerical maximization for the "
                     "entropy of sums of independent variables on {0, ..., r}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", parents=[common], help="print the closed-form lower bound")
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("construct", parents=[common],
-                       help="write the conjectured optimal inputs and their sum as pmf files")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("optimize", parents=[common], help="multistart block-ascent maximization")
-    p.add_argument("--ell", type=int, default=None,
-                   help="restrict blocks ell+1..n to the two-point support {0, r}")
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="CSV of bound vs numeric maximum over a (n, r) grid")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--r-max", dest="r_max", type=int, default=None)
-    p.add_argument("--strict-conjecture", dest="strict_conjecture", action="store_const",
-                   const=True, default=None,
-                   help="exit 1 when any gap exceeds the tolerance")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("verify", parents=[common], help="run a Monte Carlo verification suite")
-    p.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("identity", parents=[common],
-                       help="certificate identity agreement on random product triples")
-    p.set_defaults(func=_cmd_identity)
-
+    commands = {
+        "bound": (_cmd_bound, "print the closed-form lower bound"),
+        "construct": (_cmd_construct,
+                      "write the conjectured optimal inputs and their sum as pmf files"),
+        "optimize": (_cmd_optimize, "multistart block-ascent maximization"),
+        "sweep": (_cmd_sweep, "CSV of bound vs numeric maximum over a (n, r) grid"),
+        "verify": (_cmd_verify, "run a Monte Carlo verification suite"),
+    }
+    for command, (func, text) in commands.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", metavar="PATH", help="key = value settings file")
+        for name in COMMAND_SETTINGS[command]:
+            cast, setting_help = SETTINGS[name]
+            if cast is bool:
+                kind = {"action": "store_const", "const": True}
+            else:
+                kind = {"type": cast, "choices": SUITE_NAMES if name == "suite" else None}
+            p.add_argument(f"--{name}", default=None, **kind,
+                           help=_HELP.get((command, name), setting_help))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            thread_count()
+        except DomainError as exc:
+            raise _UsageError(str(exc)) from exc
+        return args.func(_Settings(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

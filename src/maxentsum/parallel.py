@@ -6,6 +6,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+from .errors import DomainError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -16,18 +18,13 @@ def thread_count() -> int:
     """Worker cap from MAXENT_THREADS; 0 or unset picks the automatic value.
 
     The automatic value is 1: every job here is deterministic and
-    GIL-dominated, so threads only pay off when asked for explicitly.
+    GIL-dominated, so threads only pay off when asked for explicitly.  Any
+    value other than a non-negative integer raises :class:`DomainError`.
     """
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value <= 0:
-        return 1
-    return value
+    raw = os.environ.get(THREADS_ENV, "").strip() or "0"
+    if not raw.isdecimal():
+        raise DomainError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw) or 1
 
 
 def ordered_map(fn: Callable[[T], R], jobs: Sequence[T]) -> list[R]:

@@ -140,7 +140,7 @@ def entropy(p: PmfLike) -> float:
     The result lies in [0, log2(m + 1)].  Array-likes are validated before
     evaluation; invalid input raises :class:`ValidationError`.
     """
-    return _entropy_bits(as_pmf(p).probs if not isinstance(p, Pmf) else p.probs)
+    return _entropy_bits(as_pmf(p).probs)
 
 
 def binary_entropy(p: float) -> float:

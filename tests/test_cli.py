@@ -1,11 +1,23 @@
 """CLI surface: commands, exit codes, file formats, settings precedence."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from maxentsum import binomial_half_entropy, conjectured_inputs, read_pmf, sum_distribution
-from maxentsum.cli import CSV_HEADER, main
+from maxentsum import (
+    OptimizerConfig,
+    binomial_half_entropy,
+    cli,
+    conjectured_inputs,
+    read_pmf,
+    sum_distribution,
+)
+from maxentsum.cli import COMMAND_SETTINGS, CSV_HEADER, _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -167,16 +179,151 @@ class TestVerifyCommand:
 
 
 class TestIdentityCommand:
+    """The identity suite through ``verify``, which replaced the ``identity`` subcommand."""
+
     def test_human(self, capsys):
-        code, out, _ = run(capsys, "identity", "--trials", "2000")
+        code, out, _ = run(capsys, "verify", "--suite", "identity", "--trials", "2000")
         assert code == 0
         assert "max_relative_gap" in out
 
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "identity", "--trials", "1000", "--json")
+    def test_json(self, capsys, tmp_path):
+        path = tmp_path / "identity.json"
+        code, _, _ = run(
+            capsys, "verify", "--suite", "identity", "--trials", "1000", "--out", str(path)
+        )
         assert code == 0
-        payload = json.loads(out)
+        payload = json.loads(path.read_text())
         assert payload["passed"] is True
+        assert payload["stats"]["max_relative_gap"] <= 1e-12
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--help"])
+    assert excinfo.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestSettingsPerCommand:
+    def test_five_subcommands(self, capsys):
+        out = help_text(capsys)
+        assert "{bound,construct,optimize,sweep,verify}" in out
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+    def test_help_lists_exactly_the_settings(self, capsys, command):
+        options = set(re.findall(r"^  (-[-\w]+)", help_text(capsys, command), re.M))
+        assert options == {"-h", "--config"} | {f"--{n}" for n in COMMAND_SETTINGS[command]}
+
+    def test_flag_of_another_subcommand_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bound", "--n", "2", "--r", "2", "--starts", "5"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("suite, argv", [
+        ("sign", ["--n", "5"]),
+        ("identity", ["--r", "3"]),
+        ("preserve", ["--n", "2", "--r", "2"]),
+        ("decomposition", ["--n", "2"]),
+    ])
+    def test_verify_rejects_n_and_r_the_suite_does_not_read(self, capsys, suite, argv):
+        code, _, err = run(capsys, "verify", "--suite", suite, "--trials", "10", *argv)
+        assert code == 2
+        assert "does not read" in err
+
+    def test_verify_rejects_n_from_config_too(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("suite = sign\nn = 5\n")
+        code, _, err = run(capsys, "verify", "--config", str(config))
+        assert code == 2
+        assert "--n" in err
+
+    def test_decomposition_reads_r(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "decomposition", "--r", "3", "--trials", "20"
+        )
+        assert code == 0
+        assert "suite = decomposition" in out
+
+    def test_config_supplies_suite(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("suite = identity\ntrials = 100\n")
+        code, out, _ = run(capsys, "verify", "--config", str(config))
+        assert code == 0
+        assert "suite = identity" in out
+
+    def test_unknown_suite_from_config_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("suite = nope\n")
+        code, _, err = run(capsys, "verify", "--config", str(config))
+        assert code == 2
+        assert "nope" in err
+
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("strats = 128\n")
+        code, _, err = run(capsys, "sweep", "--config", str(config), "--n-max", "1", "--r-max", "1")
+        assert code == 2
+        assert "strats" in err
+
+    def test_config_key_of_another_subcommand_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("n = 1\nr = 3\nstarts = 8\n")
+        code, _, err = run(capsys, "bound", "--config", str(config))
+        assert code == 2
+        assert "starts" in err
+
+    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXENT_THREADS", "banana")
+        code, _, err = run(capsys, "bound", "--n", "1", "--r", "1")
+        assert code == 2
+        assert "MAXENT_THREADS" in err
+
+
+class TestTolerance:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        configs = []
+        real = cli.multistart_maximize
+
+        def spy(n, r, config):
+            configs.append(config)
+            return real(n, r, config)
+
+        monkeypatch.setattr(cli, "multistart_maximize", spy)
+        return configs
+
+    def test_sweep_tol_is_the_gap_tolerance_only(self, capsys, captured):
+        code, _, err = run(
+            capsys, "sweep", "--n-max", "1", "--r-max", "2", "--starts", "2", "--no-timing",
+            "--tol", "1e-3",
+        )
+        assert code == 0
+        assert "gaps > +0.001" in err
+        assert [c.outer_tol for c in captured] == [OptimizerConfig.outer_tol] * 2
+        assert OptimizerConfig.outer_tol == 1e-12
+
+    def test_optimize_tol_is_the_outer_tolerance(self, capsys, captured):
+        code, _, _ = run(
+            capsys, "optimize", "--n", "2", "--r", "2", "--starts", "2", "--tol", "1e-3"
+        )
+        assert code == 0
+        assert [c.outer_tol for c in captured] == [1e-3]
+
+
+def _readme_commands():
+    """Every ``maxentsum ...`` command line in the README's ``sh`` blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [m.group(1) for line in lines if (m := re.search(r"\bmaxentsum (.*)", line))]
+
+
+def test_readme_has_command_lines():
+    assert len(_readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    _build_parser().parse_args(shlex.split(line, comments=True))
 
 
 class TestSettingsPrecedence:

@@ -14,6 +14,7 @@ from maxentsum import (
     ulc_suite,
 )
 from maxentsum.kernels import seeded_rng
+from maxentsum.parallel import thread_count
 from maxentsum.suites import CHUNK_SIZE, SuiteReport
 
 
@@ -75,6 +76,22 @@ class TestDeterminism:
         monkeypatch.setenv("MAXENT_THREADS", "4")
         threaded = sign_suite(trials=trials, seed=9).as_dict()
         assert serial == threaded
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("raw, expected", [(None, 1), ("", 1), ("0", 1), ("3", 3), (" 2 ", 2)])
+    def test_valid_values(self, monkeypatch, raw, expected):
+        if raw is None:
+            monkeypatch.delenv("MAXENT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MAXENT_THREADS", raw)
+        assert thread_count() == expected
+
+    @pytest.mark.parametrize("raw", ["banana", "-3", "2.5", "+2"])
+    def test_bad_values_raise(self, monkeypatch, raw):
+        monkeypatch.setenv("MAXENT_THREADS", raw)
+        with pytest.raises(DomainError, match="MAXENT_THREADS"):
+            thread_count()
 
 
 class TestUlcSuiteMatchesReportOperation:
