@@ -227,16 +227,6 @@ class ResidueDecomposition:
                 out[j + self.r * np.arange(len(cond))] = wj * cond.probs
         return _finalize(out, "reassemble")
 
-    def entropy_identity_gap(self) -> float:
-        """H(source) - (sum_j w_j H(conditional_j) + H(weights)), ideally 0."""
-        mixture_part = sum(
-            float(wj) * _entropy_bits(cond.probs)
-            for wj, cond in zip(self.weights, self.conditionals)
-            if wj > 0.0
-        )
-        total = mixture_part + _entropy_bits(self.weights)
-        return _entropy_bits(self.reassemble().probs) - total
-
 
 def residue_decompose(p: PmfLike, r: int) -> ResidueDecomposition:
     """Decompose ``p`` into its residue classes mod ``r``.

@@ -1,9 +1,11 @@
 """Seeded Monte Carlo verification suites with full violation witnesses.
 
-Every driver splits its trials into fixed-size chunks, derives one child seed
-per chunk from (seed, chunk index), and merges results in chunk order, so the
-verdict and the report are identical for any worker count.  A violation is
-never dropped: each one is recorded with the random instance that produced it.
+Every suite runs through one driver, which splits its trials into fixed-size
+chunks, derives one child seed per chunk from (seed, chunk index), and merges
+results in chunk order, so the verdict and the report are identical for any
+worker count.  The suites evaluate the certificate functions of ``ulc``.  A
+violation is never dropped: each one is recorded with the random instance
+that produced it.
 """
 
 from __future__ import annotations
@@ -14,14 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .kernels import fold_rows, seeded_rng
+from .kernels import conv_rows, fold_rows, seeded_rng
 from .parallel import ordered_map
 from .pmf import Pmf, _entropy_bits, convolve, mixture, residue_decompose
 from .ulc import (
     SLACK_COEFF,
+    STRICTNESS,
     _even_class_expansion,
     _odd_class_expansion,
+    certificate_sides,
     random_ulc_sequences,
+    sign_lemma_rows,
     ternary_sum_masses,
     ulc_order_margins,
 )
@@ -55,18 +60,29 @@ class SuiteReport:
         }
 
 
-def _chunks(trials: int) -> list[tuple[int, int, int]]:
+def _run(suite: str, trials: int, seed: int, params: dict, work, merge: dict) -> SuiteReport:
+    """Run ``work(rng, offset, size) -> (violations, stats)`` over seeded chunks.
+
+    Chunk i covers trials [offset, offset + size) with generator
+    ``seeded_rng(seed, i)``; violations are kept in chunk order and each stat
+    is merged over the chunks with its function in ``merge`` (min, max or sum).
+    """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    plan = []
-    offset = 0
-    index = 0
-    while offset < trials:
-        size = min(CHUNK_SIZE, trials - offset)
-        plan.append((index, offset, size))
-        offset += size
-        index += 1
-    return plan
+    plan = [(i, offset, min(CHUNK_SIZE, trials - offset))
+            for i, offset in enumerate(range(0, trials, CHUNK_SIZE))]
+
+    def run_chunk(job: tuple[int, int, int]):
+        index, offset, size = job
+        return work(seeded_rng(seed, index), offset, size)
+
+    results = ordered_map(run_chunk, plan)
+    report = SuiteReport(suite, trials, seed, params)
+    for violations, _ in results:
+        report.violations.extend(violations)
+    for key, combine in merge.items():
+        report.stats[key] = combine(stats[key] for _, stats in results)
+    return report
 
 
 def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
@@ -74,14 +90,12 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
 
     Draws n independent flat-Dirichlet pmfs on {0, ..., r} per trial, forms
     the sum distribution, and tests class 0 at order n and classes j != 0 at
-    order n - 1.
+    order n - 1.  ``min_margin`` is None when no class has an interior index.
     """
     if n < 1 or r < 1:
         raise DomainError("need n >= 1 and r >= 1")
 
-    def work(chunk: tuple[int, int, int]):
-        index, offset, size = chunk
-        rng = seeded_rng(seed, index)
+    def work(rng: np.random.Generator, offset: int, size: int):
         draws = [rng.dirichlet(np.ones(r + 1), size=size) for _ in range(n)]
         sums = fold_rows(np.stack(draws, axis=1))
         violations: list[dict] = []
@@ -113,13 +127,11 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
                         "conditional": cond[t].tolist(),
                     }
                 )
-        return violations, worst
+        return violations, {"min_margin": worst}
 
-    results = ordered_map(work, _chunks(trials))
-    report = SuiteReport("ulc", trials, seed, {"n": int(n), "r": int(r)})
-    for violations, worst in results:
-        report.violations.extend(violations)
-    report.stats["min_margin"] = min(worst for _, worst in results)
+    report = _run("ulc", trials, seed, {"n": int(n), "r": int(r)}, work, {"min_margin": min})
+    if report.stats["min_margin"] == math.inf:
+        report.stats["min_margin"] = None
     return report
 
 
@@ -132,15 +144,12 @@ def identity_suite(trials: int, seed: int = 0) -> SuiteReport:
     expansion must be non-negative.
     """
 
-    def work(chunk: tuple[int, int, int]):
-        index, offset, size = chunk
-        rng = seeded_rng(seed, index)
+    def work(rng: np.random.Generator, offset: int, size: int):
         factors = [rng.dirichlet(np.ones(3), size=size) for _ in range(3)]
         tensor = np.einsum("ti,tj,tk->tijk", *factors)
         masses = ternary_sum_masses(tensor)
-        lhs_even = masses[:, 2] ** 2 - 3.0 * masses[:, 0] * masses[:, 4]
+        lhs_even, lhs_odd = certificate_sides(masses)
         rhs_even = _even_class_expansion(tensor)
-        lhs_odd = masses[:, 3] ** 2 - 4.0 * masses[:, 1] * masses[:, 5]
         rhs_odd = _odd_class_expansion(tensor)
         scale = masses.max(axis=1) ** 2
         tol = 1e-12 * scale
@@ -168,63 +177,41 @@ def identity_suite(trials: int, seed: int = 0) -> SuiteReport:
         rel = np.maximum(
             np.abs(lhs_even - rhs_even) / scale, np.abs(lhs_odd - rhs_odd) / scale
         )
-        return violations, float(rel.max()), float(rhs_even.min())
+        stats = {"max_relative_gap": float(rel.max()), "min_even_expansion": float(rhs_even.min())}
+        return violations, stats
 
-    results = ordered_map(work, _chunks(trials))
-    report = SuiteReport("identity", trials, seed, {})
-    for violations, _, _ in results:
-        report.violations.extend(violations)
-    report.stats["max_relative_gap"] = max(r[1] for r in results)
-    report.stats["min_even_expansion"] = min(r[2] for r in results)
-    return report
+    merge = {"max_relative_gap": max, "min_even_expansion": min}
+    return _run("identity", trials, seed, {}, work, merge)
 
 
-def sign_suite(trials: int, seed: int = 0, strictness: float = 1e-9) -> SuiteReport:
+def sign_suite(trials: int, seed: int = 0) -> SuiteReport:
     """Sign implication (and odd-certificate positivity) on positive products.
 
-    Rows whose factor pmfs are not strictly positive beyond ``strictness``
-    are redrawn; the sign hypothesis uses a float-noise deadband so that only
-    genuinely strict signs trigger the implication.
+    Rows whose factor pmfs are not strictly positive beyond ``STRICTNESS``
+    are redrawn; :func:`~maxentsum.ulc.sign_lemma_rows` decides the strict
+    hypothesis and the implication.
     """
 
-    def work(chunk: tuple[int, int, int]):
-        index, offset, size = chunk
-        rng = seeded_rng(seed, index)
+    def work(rng: np.random.Generator, offset: int, size: int):
         factors = []
         for _ in range(3):
             f = rng.dirichlet(np.ones(3), size=size)
             while True:
-                bad = np.flatnonzero(f.min(axis=1) <= strictness)
+                bad = np.flatnonzero(f.min(axis=1) <= STRICTNESS)
                 if bad.size == 0:
                     break
                 f[bad] = rng.dirichlet(np.ones(3), size=bad.size)
             factors.append(f)
-        a, b, c = factors
-        x201 = a[:, 2] * b[:, 0] * c[:, 1]
-        x021 = a[:, 0] * b[:, 2] * c[:, 1]
-        x120 = a[:, 1] * b[:, 2] * c[:, 0]
-        x102 = a[:, 1] * b[:, 0] * c[:, 2]
-        x210 = a[:, 2] * b[:, 1] * c[:, 0]
-        x012 = a[:, 0] * b[:, 1] * c[:, 2]
-        deadband = 1e-15 * (a.max(axis=1) * b.max(axis=1) * c.max(axis=1))
-        first = x201 - x021
-        second = x120 - x102
-        conclusion = x210 - x012
-        strict = (np.abs(first) > deadband) & (np.abs(second) > deadband)
-        agree = (first > 0.0) == (second > 0.0)
-        hypothesis = strict & agree
-        sign = np.where(first > 0.0, 1.0, -1.0)
-        implied = sign * conclusion > -deadband
-        tensor = np.einsum("ti,tj,tk->tijk", a, b, c)
-        masses = ternary_sum_masses(tensor)
-        lhs_odd = masses[:, 3] ** 2 - 4.0 * masses[:, 1] * masses[:, 5]
+        tensor = np.einsum("ti,tj,tk->tijk", *factors)
+        differences, hypothesis, implied = sign_lemma_rows(tensor)
+        _, lhs_odd = certificate_sides(ternary_sum_masses(tensor))
         violations: list[dict] = []
         for t in np.flatnonzero(hypothesis & ~implied):
             violations.append(
                 {
                     "trial": int(offset + t),
                     "kind": "sign",
-                    "differences": [float(first[t]), float(second[t]), float(conclusion[t])],
+                    "differences": differences[t].tolist(),
                     "factors": [f[t].tolist() for f in factors],
                 }
             )
@@ -237,14 +224,10 @@ def sign_suite(trials: int, seed: int = 0, strictness: float = 1e-9) -> SuiteRep
                     "factors": [f[t].tolist() for f in factors],
                 }
             )
-        return violations, int(hypothesis.sum())
+        return violations, {"strict_hypothesis_count": int(hypothesis.sum())}
 
-    results = ordered_map(work, _chunks(trials))
-    report = SuiteReport("sign", trials, seed, {"strictness": strictness})
-    for violations, _ in results:
-        report.violations.extend(violations)
-    report.stats["strict_hypothesis_count"] = sum(r[1] for r in results)
-    return report
+    params = {"strictness": STRICTNESS}
+    return _run("sign", trials, seed, params, work, {"strict_hypothesis_count": sum})
 
 
 def preserve_suite(trials: int, seed: int = 0, max_order: int = 8) -> SuiteReport:
@@ -256,9 +239,7 @@ def preserve_suite(trials: int, seed: int = 0, max_order: int = 8) -> SuiteRepor
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
 
-    def work(chunk: tuple[int, int, int]):
-        index, offset, size = chunk
-        rng = seeded_rng(seed, index)
+    def work(rng: np.random.Generator, offset: int, size: int):
         orders = rng.integers(1, max_order + 1, size=size)
         weights = rng.uniform(0.0, 1.0, size=size)
         violations: list[dict] = []
@@ -269,9 +250,7 @@ def preserve_suite(trials: int, seed: int = 0, max_order: int = 8) -> SuiteRepor
                 continue
             seqs = random_ulc_sequences(order, rows.size, rng)
             q = weights[rows]
-            conv = np.zeros((rows.size, order + 2))
-            conv[:, :-1] += seqs * (1.0 - q)[:, None]
-            conv[:, 1:] += seqs * q[:, None]
+            conv = conv_rows(np.stack([1.0 - q, q], axis=1), seqs)  # loops over the 2 columns
             margins = ulc_order_margins(conv, order + 1)
             row_min = margins.min(axis=1)
             worst = min(worst, float(row_min.min()))
@@ -287,14 +266,9 @@ def preserve_suite(trials: int, seed: int = 0, max_order: int = 8) -> SuiteRepor
                         "margin": float(row_min[t]),
                     }
                 )
-        return violations, worst
+        return violations, {"min_margin": worst}
 
-    results = ordered_map(work, _chunks(trials))
-    report = SuiteReport("preserve", trials, seed, {"max_order": max_order})
-    for violations, _ in results:
-        report.violations.extend(violations)
-    report.stats["min_margin"] = min(r[1] for r in results)
-    return report
+    return _run("preserve", trials, seed, {"max_order": max_order}, work, {"min_margin": min})
 
 
 def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> SuiteReport:
@@ -302,14 +276,13 @@ def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> Sui
 
     Per trial: reassembly and mixture round-trips entrywise within 1e-12, the
     entropy decomposition identity within 1e-10, and the residue splitting
-    property of convolution by a multiple-of-r pmf within 1e-12.
+    property of convolution by a multiple-of-r pmf within 1e-12.  Trials go
+    one ``Pmf`` at a time, so the suite exercises the per-object API.
     """
     if r is not None and r < 1:
         raise DomainError("r must be >= 1")
 
-    def work(chunk: tuple[int, int, int]):
-        index, offset, size = chunk
-        rng = seeded_rng(seed, index)
+    def work(rng: np.random.Generator, offset: int, size: int):
         violations: list[dict] = []
         worst = {"reassembly": 0.0, "entropy": 0.0, "mixture": 0.0, "splitting": 0.0}
 
@@ -359,12 +332,7 @@ def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> Sui
                 expected = np.convolve(dec.conditionals[j].probs, coarse)
                 err = max(err, float(np.abs(dec2.conditionals[j].probs - expected).max()))
             record(t, "splitting", err, probs, modulus)
-        return violations, worst
+        return violations, {f"max_{kind}_error": error for kind, error in worst.items()}
 
-    results = ordered_map(work, _chunks(trials))
-    report = SuiteReport("decomposition", trials, seed, {"r": r})
-    for violations, _ in results:
-        report.violations.extend(violations)
-    for key in ("reassembly", "entropy", "mixture", "splitting"):
-        report.stats[f"max_{key}_error"] = max(r[1][key] for r in results)
-    return report
+    merge = {f"max_{kind}_error": max for kind in ("reassembly", "entropy", "mixture", "splitting")}
+    return _run("decomposition", trials, seed, {"r": r}, work, merge)

@@ -20,6 +20,8 @@ from .pmf import Pmf, PmfLike, as_pmf, residue_decompose, sum_distribution
 #: Inequalities pass when their slack is >= -SLACK_COEFF * max(u)^2; margins
 #: in reports stay pre-tolerance.
 SLACK_COEFF = 1e-12
+#: The sign lemma needs factors whose every mass exceeds this.
+STRICTNESS = 1e-9
 
 
 def _nonneg_array(u) -> np.ndarray:
@@ -274,6 +276,17 @@ def _odd_class_expansion(v: np.ndarray) -> np.ndarray:
     )
 
 
+def certificate_sides(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct sides P(2)^2 - 3 P(0) P(4) and P(3)^2 - 4 P(1) P(5).
+
+    ``masses`` holds sum masses (..., 7) as from :func:`ternary_sum_masses`;
+    the even and odd sides come back batched over the leading axes.
+    """
+    even = masses[..., 2] ** 2 - 3.0 * masses[..., 0] * masses[..., 4]
+    odd = masses[..., 3] ** 2 - 4.0 * masses[..., 1] * masses[..., 5]
+    return even, odd
+
+
 def identity_gap(which: str, x: TernaryTriple) -> IdentityGap:
     """Direct and expanded evaluations of one certificate quantity.
 
@@ -285,44 +298,52 @@ def identity_gap(which: str, x: TernaryTriple) -> IdentityGap:
     """
     if not isinstance(x, TernaryTriple):
         x = TernaryTriple.from_values(x)
-    s = x.sum_masses()
+    even, odd = certificate_sides(x.sum_masses())
     if which == "even":
-        lhs = s[2] ** 2 - 3.0 * s[0] * s[4]
-        rhs = _even_class_expansion(x.values)
+        lhs, rhs = even, _even_class_expansion(x.values)
     elif which == "odd":
-        lhs = s[3] ** 2 - 4.0 * s[1] * s[5]
-        rhs = _odd_class_expansion(x.values)
+        lhs, rhs = odd, _odd_class_expansion(x.values)
     else:
         raise DomainError(f"unknown identity {which!r}: use 'even' or 'odd'")
     return IdentityGap(lhs=float(lhs), rhs=float(rhs))
 
 
-def sign_lemma_check(x: TernaryTriple, strictness: float = 1e-9) -> bool:
+def sign_lemma_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sign lemma on (rows, 3, 3, 3) product tensors.
+
+    Returns the differences x201 - x021, x120 - x102 and x210 - x012 as
+    (rows, 3), the strict hypothesis (the first two share a sign s beyond a
+    deadband of 1e-15 * max(x), which keeps float noise from manufacturing a
+    strict sign) and the implication (s times the third difference exceeds
+    minus the deadband).  The lemma holds on a row unless the hypothesis holds
+    and the implication fails.
+    """
+    first = v[:, 2, 0, 1] - v[:, 0, 2, 1]
+    second = v[:, 1, 2, 0] - v[:, 1, 0, 2]
+    conclusion = v[:, 2, 1, 0] - v[:, 0, 1, 2]
+    deadband = 1e-15 * v.max(axis=(1, 2, 3))
+    strict = (np.abs(first) > deadband) & (np.abs(second) > deadband)
+    hypothesis = strict & ((first > 0.0) == (second > 0.0))
+    implied = np.where(first > 0.0, 1.0, -1.0) * conclusion > -deadband
+    return np.stack([first, second, conclusion], axis=1), hypothesis, implied
+
+
+def sign_lemma_check(x: TernaryTriple) -> bool:
     """Check the sign implication behind the odd-class certificate.
 
-    For a product-formed triple with strictly positive factors: if
-    x201 - x021 and x120 - x102 share a strict sign s, then x210 - x012 has
-    sign s as well.  Returns True when the implication holds or is vacuous.
-    Sign calls use a deadband of 1e-15 * max(x) to keep float noise from
-    manufacturing a strict hypothesis.
+    For a product-formed triple whose factor masses all exceed
+    :data:`STRICTNESS`: if x201 - x021 and x120 - x102 share a strict sign s,
+    then x210 - x012 has sign s as well.  Returns True when the implication
+    holds or is vacuous; see :func:`sign_lemma_rows` for the deadband.
     """
     if not isinstance(x, TernaryTriple) or x.factors is None:
         raise PreconditionError("sign lemma needs a product-formed triple")
-    if min(float(p.probs.min()) for p in x.factors) <= strictness:
+    if min(float(p.probs.min()) for p in x.factors) <= STRICTNESS:
         raise PreconditionError(
-            f"factors must be strictly positive (every mass > {strictness})"
+            f"factors must be strictly positive (every mass > {STRICTNESS})"
         )
-    v = x.values
-    first = v[2, 0, 1] - v[0, 2, 1]
-    second = v[1, 2, 0] - v[1, 0, 2]
-    conclusion = v[2, 1, 0] - v[0, 1, 2]
-    deadband = 1e-15 * float(v.max())
-    if abs(first) <= deadband or abs(second) <= deadband:
-        return True
-    if (first > 0.0) != (second > 0.0):
-        return True
-    sign = 1.0 if first > 0.0 else -1.0
-    return bool(sign * conclusion > -deadband)
+    _, hypothesis, implied = sign_lemma_rows(x.values[None])
+    return bool(implied[0] or not hypothesis[0])
 
 
 def convolve_bernoulli_preserves(u, order: int, q: float) -> bool:

@@ -171,6 +171,24 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert payload["violation_count"] == 0
 
+    def test_report_file_is_strict_json_when_no_class_has_an_interior_index(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "u.json"
+        code, out, _ = run(
+            capsys,
+            "verify", "--suite", "ulc", "--n", "1", "--r", "3", "--trials", "100",
+            "--out", str(path),
+        )
+        assert code == 0
+        assert "min_margin = None" in out
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["stats"]["min_margin"] is None
+
     @pytest.mark.parametrize("suite", ["identity", "sign", "preserve", "decomposition"])
     def test_all_suites_run(self, capsys, suite):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--trials", "500")

@@ -15,7 +15,9 @@ from maxentsum import (
 )
 from maxentsum.kernels import seeded_rng
 from maxentsum.parallel import thread_count
+from maxentsum import suites
 from maxentsum.suites import CHUNK_SIZE, SuiteReport
+from maxentsum.ulc import sign_lemma_rows
 
 
 class TestSuitesPass:
@@ -50,9 +52,20 @@ class TestSuitesPass:
         report = decomposition_suite(trials=200, seed=11, r=r)
         assert report.passed
 
-    def test_trials_domain(self):
-        with pytest.raises(DomainError):
-            ulc_suite(2, 2, trials=0)
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            lambda trials: ulc_suite(2, 2, trials=trials),
+            identity_suite,
+            sign_suite,
+            preserve_suite,
+            decomposition_suite,
+        ],
+        ids=["ulc", "identity", "sign", "preserve", "decomposition"],
+    )
+    def test_trials_domain(self, suite):
+        with pytest.raises(DomainError, match="trials"):
+            suite(trials=0)
 
 
 class TestDeterminism:
@@ -68,6 +81,20 @@ class TestDeterminism:
         a = identity_suite(trials=trials, seed=3).as_dict()
         b = identity_suite(trials=trials, seed=3).as_dict()
         assert a == b
+
+    def test_witness_trials_are_offset_by_chunk(self, monkeypatch):
+        # Make every strict hypothesis a sign violation: the witnesses must
+        # carry global trial indices, in order, across the chunk boundary.
+        def always_fails(tensors):
+            differences, hypothesis, implied = sign_lemma_rows(tensors)
+            return differences, hypothesis, np.zeros_like(implied)
+
+        monkeypatch.setattr(suites, "sign_lemma_rows", always_fails)
+        report = sign_suite(trials=CHUNK_SIZE + 500, seed=4)
+        trials = [v["trial"] for v in report.violations if v["kind"] == "sign"]
+        assert len(trials) == report.stats["strict_hypothesis_count"]
+        assert all(a < b for a, b in zip(trials, trials[1:]))
+        assert max(trials) >= CHUNK_SIZE
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         trials = 2 * CHUNK_SIZE + 100
