@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -228,6 +229,8 @@ def _cmd_sweep(cfg: _Settings) -> int:
     if n_max < 1 or r_max < 1:
         raise _UsageError("--n-max and --r-max must be >= 1")
     gap_tol = cfg.get("tol", default=1e-6)
+    if not (math.isfinite(gap_tol) and gap_tol >= 0.0):
+        raise DomainError(f"--tol must be a finite number >= 0, got {gap_tol!r}")
     no_timing = cfg.get("no-timing", default=False)
     strict = cfg.get("strict-conjecture", default=False)
     oc = _optimizer_config(cfg)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
+
+import numbers
 
 
 class MaxentsumError(Exception):
@@ -23,3 +25,9 @@ class PreconditionError(MaxentsumError, ValueError):
 
 class BudgetExceededError(MaxentsumError, RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")

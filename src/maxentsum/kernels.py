@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_count
 from .pmf import LOG2E, ZERO_FLOOR
 
 
 def seeded_rng(seed: int, index: int) -> np.random.Generator:
-    """The generator of job ``index`` (a start or a chunk) of a seeded run."""
+    """The generator of job ``index`` (a start or a chunk) of a seeded run.
+
+    Raises :class:`DomainError` unless ``seed`` is an integer >= 0.
+    """
+    check_count("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 

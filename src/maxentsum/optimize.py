@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import _check_nr, conjectured_inputs, entropy_lower_bound
-from .errors import BudgetExceededError, DomainError, MaxentsumError
+from .errors import BudgetExceededError, DomainError, MaxentsumError, check_count
 from .kernels import (
     conv_rows,
     entropy_rows,
@@ -42,6 +42,11 @@ from .pmf import Pmf, _entropy_bits, _finalize, as_pmf
 GRID_BUDGET = 100_000_000
 
 _MAX_INNER = 400
+#: While rows cycle over all blocks, a block also ends once its stationarity
+#: gap falls to this fraction of the gap it entered with.  Such a block is not
+#: stationary, so its sweep cannot end the start; solving a block exactly while
+#: the other blocks are still far from a fixed point is wasted work.
+_GAP_CUT = 0.1
 _ETA_MAX = 1e6
 _ETA_MIN = 1e-14
 #: Random starts per ``ordered_map`` job; the conjectured start joins the last job.
@@ -62,10 +67,9 @@ class OptimizerConfig:
     include_conjectured_start: bool = True
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise DomainError("need at least one start")
-        if self.max_outer_sweeps < 1:
-            raise DomainError("need at least one sweep")
+        check_count("starts", self.starts, 1)
+        check_count("seed", self.seed, 0)
+        check_count("max_outer_sweeps", self.max_outer_sweeps, 1)
         if not (self.inner_tol > 0.0 and self.outer_tol > 0.0):
             raise DomainError("tolerances must be positive")
 
@@ -79,7 +83,8 @@ class StartRecord:
     ``inner_tol``, or a step that no longer changed the value in floating
     point).  Otherwise ``reason`` names what stopped it.  ``gap`` is the
     largest stationarity gap ``max g - g.p`` that a block of the final sweep
-    ended with.
+    ended with.  ``steps`` counts the candidate steps the start evaluated,
+    accepted and rejected.
     """
 
     start_id: int
@@ -88,6 +93,7 @@ class StartRecord:
     converged: bool
     reason: str
     gap: float
+    steps: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +160,18 @@ class _Lockstep:
     Arrays hold one entry per live row and are compacted when rows finish.
     Between iterations every live row is inside a block with one candidate
     step pending; ``step`` evaluates it, ``close`` ends blocks and sweeps, and
-    ``enter`` starts a row's next block.
+    ``enter`` starts a row's next block.  A block ends stationary, on a spent
+    inner budget, on step underflow or at its ``stop`` gap, which while rows
+    cycle is the larger of ``inner_tol`` and ``_GAP_CUT`` times the entry gap.
+    A sweep with a block cut short that way does not end its start.  Every
+    live row evaluates one candidate per iteration, so a row's step count is
+    the iteration at which it retires.
     """
 
     _FIELDS = (
-        "ids", "blocks", "cur", "neg", "toeplitz", "p", "shift", "value", "gap", "eta",
-        "inner", "stalled", "sweeps", "prev", "sweep_gap", "sweep_reason", "done",
+        "ids", "blocks", "cur", "neg", "toeplitz", "p", "shift", "value", "gap", "stop", "eta",
+        "inner", "stalled", "sweeps", "prev", "sweep_gap", "sweep_reason",
+        "sweep_cut", "done",
     )
 
     def __init__(self, blocks: np.ndarray, neg: np.ndarray, config: OptimizerConfig,
@@ -180,6 +192,7 @@ class _Lockstep:
         self.shift = np.zeros((count, m))
         self.value = np.zeros(count)
         self.gap = np.zeros(count)
+        self.stop = np.full(count, config.inner_tol)
         self.eta = np.ones((count, 1))
         self.inner = np.zeros(count, dtype=int)
         self.stalled = np.zeros(count, dtype=bool)
@@ -187,12 +200,15 @@ class _Lockstep:
         self.prev = np.full(count, -math.inf)
         self.sweep_gap = np.full(count, -math.inf)
         self.sweep_reason = np.full(count, _STATIONARY)
+        self.sweep_cut = np.zeros(count, dtype=bool)
         self.done = np.zeros(count, dtype=bool)
         self.out_blocks = np.empty_like(blocks)
         self.out_value = np.empty(count)
         self.out_sweeps = np.empty(count, dtype=int)
         self.out_reason = np.empty(count, dtype=int)
         self.out_gap = np.empty(count)
+        self.out_steps = np.empty(count, dtype=int)
+        self.iteration = 0
 
     def run(self) -> "_Lockstep":
         self._settle(self.enter(self.ids))
@@ -206,6 +222,7 @@ class _Lockstep:
 
     def step(self) -> np.ndarray:
         """Evaluate one candidate per row; return the rows whose block ended."""
+        self.iteration += 1
         q = np.exp(self.eta * self.shift)
         q *= self.p
         q /= np.add.reduce(q, axis=1, keepdims=True)
@@ -228,7 +245,7 @@ class _Lockstep:
         self.inner += accepted
         ended = (
             self.stalled
-            | (self.gap <= self.config.inner_tol)
+            | (self.gap <= self.stop)
             | (self.inner >= _MAX_INNER)
             | (self.eta[:, 0] < _ETA_MIN)
         )
@@ -250,6 +267,8 @@ class _Lockstep:
         self.shift[idx] = shift
         self.value[idx] = entropy_rows(sums, logs)
         self.gap[idx] = gap
+        if self.only_block is None:
+            self.stop[idx] = np.maximum(_GAP_CUT * gap, self.config.inner_tol)
         self.eta[idx] = 2.0  # the unit exponent, doubled for the first step
         self.inner[idx] = 0
         self.stalled[idx] = False
@@ -269,6 +288,8 @@ class _Lockstep:
         )
         first = self.sweep_reason[idx] == _STATIONARY
         self.sweep_reason[idx[first]] = reason[first]
+        # A cut block's reason never surfaces: its sweep runs again or hits the cap.
+        self.sweep_cut[idx] |= ~stationary & (self.gap[idx] <= self.stop[idx])
         self.sweep_gap[idx] = np.maximum(self.sweep_gap[idx], self.gap[idx])
         if self.only_block is not None:
             self._retire(idx)
@@ -278,7 +299,7 @@ class _Lockstep:
         self.cur[idx] = np.where(wrapped, 0, cur)
         ends = idx[wrapped]
         self.sweeps[ends] += 1
-        settled = self.value[ends] - self.prev[ends] < config.outer_tol
+        settled = (self.value[ends] - self.prev[ends] < config.outer_tol) & ~self.sweep_cut[ends]
         capped = ~settled & (self.sweeps[ends] >= config.max_outer_sweeps)
         self.sweep_reason[ends[capped]] = _MAX_SWEEPS
         self._retire(ends[settled | capped])
@@ -286,6 +307,7 @@ class _Lockstep:
         self.prev[again] = self.value[again]
         self.sweep_gap[again] = -math.inf
         self.sweep_reason[again] = _STATIONARY
+        self.sweep_cut[again] = False
         return idx[~self.done[idx]]
 
     def _settle(self, ended: np.ndarray) -> None:
@@ -299,6 +321,7 @@ class _Lockstep:
         self.out_sweeps[ids] = self.sweeps[idx]
         self.out_reason[ids] = self.sweep_reason[idx]
         self.out_gap[ids] = self.sweep_gap[idx]
+        self.out_steps[ids] = self.iteration
         self.done[idx] = True
 
     def _compact(self) -> None:
@@ -399,6 +422,7 @@ def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> Optimization
             record = StartRecord(
                 start_id=sid, value=float(out.out_value[k]), sweeps=int(out.out_sweeps[k]),
                 converged=reason == _STATIONARY, reason=REASONS[reason], gap=float(out.out_gap[k]),
+                steps=int(out.out_steps[k]),
             )
             outcomes.append((record, out.out_blocks[k]))
         return outcomes

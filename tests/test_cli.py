@@ -67,6 +67,29 @@ class TestExitCodes:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--n", "2", "--r", "2", "--starts", "1"),
+            ("sweep", "--n-max", "1", "--r-max", "1", "--starts", "1"),
+            ("verify", "--suite", "sign", "--trials", "10"),
+        ],
+        ids=["optimize", "sweep", "verify"],
+    )
+    def test_negative_seed_is_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 3
+        assert "seed" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_sweep_tol_must_be_finite_and_non_negative(self, capsys, tol):
+        code, out, err = run(
+            capsys, "sweep", "--n-max", "1", "--r-max", "1", "--starts", "1",
+            "--strict-conjecture", "--tol", tol,
+        )
+        assert code == 3
+        assert "--tol" in err and out == ""
+
     def test_io_error_on_unwritable_sweep_path(self, capsys):
         code, _, err = run(
             capsys,
@@ -118,6 +141,15 @@ class TestOptimizeCommand:
         assert payload["ell"] == 2
         assert abs(payload["gap_to_bound"]) < 1e-5
         assert len(payload["per_start"]) == 5
+
+    def test_json_lists_steps_per_start(self, capsys):
+        code, out, _ = run(
+            capsys, "optimize", "--n", "2", "--r", "3", "--starts", "3", "--seed", "2", "--json"
+        )
+        assert code == 0
+        steps = [rec["steps"] for rec in json.loads(out)["per_start"]]
+        assert len(steps) == 4 and all(isinstance(s, int) for s in steps)
+        assert all(s > 0 for s in steps[:-1])  # the conjectured start may need none
 
 
 class TestSweepCommand:

@@ -61,6 +61,10 @@ class TestOptimizerConfig:
             {"inner_tol": 0.0},
             {"outer_tol": -1.0},
             {"max_outer_sweeps": 0},
+            {"starts": 2.5},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"max_outer_sweeps": 2.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -189,6 +193,84 @@ class TestConvergenceFlag:
             assert rec.converged == (rec.reason == "stationary")
             assert rec.reason in optimize.REASONS
             assert math.isfinite(rec.gap)
+
+
+#: Calls shared by the inexact-block tests: ``(n, r, ell, starts, seed)``.
+CUT_CELLS = [(2, 4, None, 32, 1), (2, 4, None, 32, 2), (2, 4, None, 32, 3),
+             (3, 3, None, 16, 1), (4, 3, 2, 16, 1)]
+
+
+def _run_cell(n, r, ell, starts, seed):
+    cfg = OptimizerConfig(starts=starts, seed=seed)
+    return multistart_maximize(n, r, cfg) if ell is None else restricted_maximize(n, r, ell, cfg)
+
+
+@pytest.fixture(scope="module")
+def exact_runs():
+    """The ``CUT_CELLS`` runs with every block solved to stationarity."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_GAP_CUT", 0.0)
+        return {cell: _run_cell(*cell) for cell in CUT_CELLS}
+
+
+@pytest.fixture(scope="module")
+def cut_runs():
+    """The ``CUT_CELLS`` runs with the default ``_GAP_CUT``."""
+    return {cell: _run_cell(*cell) for cell in CUT_CELLS}
+
+
+class TestInexactBlocks:
+    def _cut_short(self, monkeypatch):
+        """Record per closed block whether it ended only at its cut gap."""
+        flags = []
+        original = optimize._Lockstep.close
+
+        def close(run, idx):
+            exact = (
+                run.stalled[idx]
+                | (run.gap[idx] <= run.config.inner_tol)
+                | (run.inner[idx] >= optimize._MAX_INNER)
+                | (run.eta[idx, 0] < optimize._ETA_MIN)
+            )
+            flags.extend(~exact)
+            return original(run, idx)
+
+        monkeypatch.setattr(optimize._Lockstep, "close", close)
+        return flags
+
+    def test_zero_cut_solves_every_block(self, monkeypatch):
+        flags = self._cut_short(monkeypatch)
+        multistart_maximize(2, 3, OptimizerConfig(starts=8, seed=1))
+        assert any(flags)
+        flags.clear()
+        monkeypatch.setattr(optimize, "_GAP_CUT", 0.0)
+        multistart_maximize(2, 3, OptimizerConfig(starts=8, seed=1))
+        assert flags and not any(flags)
+
+    def test_block_ascend_ignores_the_cut(self, monkeypatch):
+        inputs = random_inputs(np.random.default_rng(3), 3, 3)
+        exact = block_ascend(inputs, 1)
+        monkeypatch.setattr(optimize, "_GAP_CUT", 0.9)
+        assert block_ascend(inputs, 1).probs.tolist() == exact.probs.tolist()
+
+    def test_best_values_match_the_exact_solve(self, exact_runs, cut_runs):
+        for cell, exact in exact_runs.items():
+            assert abs(cut_runs[cell].best_value - exact.best_value) <= 1e-14, cell
+
+    def test_cut_at_least_halves_the_steps(self, exact_runs, cut_runs):
+        cells = [cell for cell in CUT_CELLS if cell[:2] == (2, 4)]
+        exact = sum(rec.steps for cell in cells for rec in exact_runs[cell].per_start)
+        cut = sum(rec.steps for cell in cells for rec in cut_runs[cell].per_start)
+        assert 0 < 2 * cut <= exact
+
+    def test_loose_cut_keeps_reasons_and_values(self, monkeypatch, exact_runs):
+        monkeypatch.setattr(optimize, "_GAP_CUT", 0.9)
+        for cell, exact in exact_runs.items():
+            result = _run_cell(*cell)
+            assert abs(result.best_value - exact.best_value) <= 1e-9, cell
+            for rec in result.per_start:
+                assert rec.reason in optimize.REASONS
+                assert rec.converged == (rec.reason == "stationary")
 
 
 class TestLockstepDeterminism:
