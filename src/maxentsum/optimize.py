@@ -14,6 +14,13 @@ lockstep: one iteration evaluates one candidate step for every live row, and
 a row that finishes its block moves on to its next block without waiting for
 the others.  Every row keeps its own state and the kernels compute each row
 independently, so a start's trajectory does not depend on its batch.
+
+Cyclic ascent can crawl: near the conjectured maximizer two blocks trade the
+{0, r} role and the interior role over hundreds of sweeps, each sweep moving
+the masses a little further the same way.  A start that has swept long enough
+therefore extrapolates along its sweep move once two successive moves point
+the same way, as SQUAREM and accelerated Blahut-Arimoto do for their
+fixed-point maps.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .kernels import (
     toeplitz_rows,
 )
 from .parallel import ordered_map
-from .pmf import Pmf, _entropy_bits, _finalize, as_pmf
+from .pmf import ZERO_FLOOR, Pmf, _entropy_bits, _finalize, as_pmf
 
 #: Hard cap on ordered grid tuples enumerated by the grid oracle.
 GRID_BUDGET = 100_000_000
@@ -47,6 +54,12 @@ _MAX_INNER = 400
 #: stationary, so its sweep cannot end the start; solving a block exactly while
 #: the other blocks are still far from a fixed point is wasted work.
 _GAP_CUT = 0.1
+#: A start's sweep moves are measured from its sweep ``_XFROM`` on; at the end
+#: of a later sweep whose move has cosine above ``_ALIGN`` with the move
+#: before, the start extrapolates along it.  Few starts sweep that long, so
+#: the others pay nothing.
+_XFROM = 16
+_ALIGN = 0.99
 _ETA_MAX = 1e6
 _ETA_MIN = 1e-14
 #: Random starts per ``ordered_map`` job; the conjectured start joins the last job.
@@ -83,8 +96,9 @@ class StartRecord:
     ``inner_tol``, or a step that no longer changed the value in floating
     point).  Otherwise ``reason`` names what stopped it.  ``gap`` is the
     largest stationarity gap ``max g - g.p`` that a block of the final sweep
-    ended with.  ``steps`` counts the candidate steps the start evaluated,
-    accepted and rejected.
+    ended with.  ``steps`` counts the objective evaluations of the start:
+    its candidate block steps, accepted and rejected, and its extrapolation
+    trials.  ``jumps`` counts the extrapolations it accepted.
     """
 
     start_id: int
@@ -94,6 +108,7 @@ class StartRecord:
     reason: str
     gap: float
     steps: int
+    jumps: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +178,14 @@ class _Lockstep:
     ``enter`` starts a row's next block.  A block ends stationary, on a spent
     inner budget, on step underflow or at its ``stop`` gap, which while rows
     cycle is the larger of ``inner_tol`` and ``_GAP_CUT`` times the entry gap.
-    A sweep with a block cut short that way does not end its start.  Every
-    live row evaluates one candidate per iteration, so a row's step count is
-    the iteration at which it retires.
+    A sweep with a block cut short that way does not end its start.
+
+    At the end of a sweep that does not end its start, ``_extrapolate`` may
+    move the row along its last sweep move (see ``_XFROM``); the row then
+    sweeps again from the new point, so a sweep that extrapolated never
+    settles its start.  Every live row evaluates one candidate per iteration,
+    so a row's step count is the iteration at which it retires plus its
+    extrapolation trials.
     """
 
     _FIELDS = (
@@ -207,7 +227,13 @@ class _Lockstep:
         self.out_sweeps = np.empty(count, dtype=int)
         self.out_reason = np.empty(count, dtype=int)
         self.out_gap = np.empty(count)
-        self.out_steps = np.empty(count, dtype=int)
+        self.out_steps = np.zeros(count, dtype=int)  # extrapolation trials until retired
+        self.out_jumps = np.zeros(count, dtype=int)
+        # Extrapolation state, indexed by start id like the outputs, so that
+        # compaction leaves it alone: the blocks at the start of the current
+        # sweep and the last sweep move in log2 masses.
+        self.origin = np.empty_like(blocks)
+        self.move = np.zeros_like(blocks)
         self.iteration = 0
 
     def run(self) -> "_Lockstep":
@@ -297,22 +323,76 @@ class _Lockstep:
         cur = cur + 1
         wrapped = cur == self.blocks.shape[1]
         self.cur[idx] = np.where(wrapped, 0, cur)
-        ends = idx[wrapped]
+        if wrapped.any():
+            self._end_sweeps(idx[wrapped])
+        return idx[~self.done[idx]]
+
+    def _end_sweeps(self, ends: np.ndarray) -> None:
+        """Retire the rows ``ends`` whose start settled or hit the sweep cap;
+        the others may extrapolate, then begin their next sweep."""
+        config = self.config
         self.sweeps[ends] += 1
+        swept = self.sweeps[ends]
         settled = (self.value[ends] - self.prev[ends] < config.outer_tol) & ~self.sweep_cut[ends]
-        capped = ~settled & (self.sweeps[ends] >= config.max_outer_sweeps)
+        capped = ~settled & (swept >= config.max_outer_sweeps)
         self.sweep_reason[ends[capped]] = _MAX_SWEEPS
         self._retire(ends[settled | capped])
-        again = ends[~(settled | capped)]
+        keep = ~(settled | capped)
+        again = ends[keep]
+        late = again[swept[keep] >= _XFROM - 1]
+        if late.size:
+            self._extrapolate(late)
         self.prev[again] = self.value[again]
         self.sweep_gap[again] = -math.inf
         self.sweep_reason[again] = _STATIONARY
         self.sweep_cut[again] = False
-        return idx[~self.done[idx]]
 
     def _settle(self, ended: np.ndarray) -> None:
         while ended.size:
             ended = self.enter(self.close(ended))
+
+    def _extrapolate(self, idx: np.ndarray) -> None:
+        """Extrapolate rows ``idx``, which end a sweep that does not end their
+        start and have swept at least ``_XFROM - 1`` times.
+
+        From sweep ``_XFROM`` on, a row's sweep move ``d`` is the change of
+        its log2 masses over the sweep.  Where ``d`` has cosine above
+        ``_ALIGN`` with the previous move, the row tries the blocks
+        ``y * 2^(t d)``, renormalized per block, for t = 1, 2, 4, ... and
+        keeps the best while H(S_n) rises.  A candidate with a free mass at
+        or below ``ZERO_FLOOR`` is never better: zero is absorbing under the
+        block update.  Pinned masses are 0 in ``y`` and stay 0."""
+        ids = self.ids[idx]
+        measured = self.sweeps[idx] >= _XFROM
+        rows, mids = idx[measured], ids[measured]
+        move = log2_rows(self.blocks[rows]) - log2_rows(self.origin[mids])
+        last, self.move[mids] = self.move[mids], move
+        shape = (rows.size, self.blocks[0].size)
+        flat, flat_last = move.reshape(shape), last.reshape(shape)
+        dot = np.add.reduce(flat * flat_last, axis=1)
+        squares = np.add.reduce(flat * flat, axis=1) * np.add.reduce(flat_last * flat_last, axis=1)
+        aligned = dot > _ALIGN * np.sqrt(squares)  # never on the first move, whose last is 0
+        rows, mids, move = rows[aligned], mids[aligned], move[aligned]
+        y = self.blocks[rows]
+        best = self.value[rows]
+        pinned = self.block_neg < 0.0
+        live = np.arange(rows.size)
+        t = 1.0
+        while live.size:
+            e = t * move[live]
+            q = y[live] * np.exp2(e - np.maximum.reduce(e, axis=2, keepdims=True))
+            q /= np.add.reduce(q, axis=2, keepdims=True)
+            sums = fold_rows(q)
+            value = entropy_rows(sums, log2_rows(sums))
+            self.out_steps[mids[live]] += 1
+            better = (value > best[live]) & ~((q <= ZERO_FLOOR) & ~pinned).any(axis=(1, 2))
+            live = live[better]
+            self.blocks[rows[live]] = q[better]
+            best[live] = value[better]
+            t *= 2.0
+        self.out_jumps[mids] += best > self.value[rows]
+        self.value[rows] = best
+        self.origin[ids] = self.blocks[idx]
 
     def _retire(self, idx: np.ndarray) -> None:
         ids = self.ids[idx]
@@ -321,7 +401,7 @@ class _Lockstep:
         self.out_sweeps[ids] = self.sweeps[idx]
         self.out_reason[ids] = self.sweep_reason[idx]
         self.out_gap[ids] = self.sweep_gap[idx]
-        self.out_steps[ids] = self.iteration
+        self.out_steps[ids] += self.iteration
         self.done[idx] = True
 
     def _compact(self) -> None:
@@ -422,7 +502,7 @@ def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> Optimization
             record = StartRecord(
                 start_id=sid, value=float(out.out_value[k]), sweeps=int(out.out_sweeps[k]),
                 converged=reason == _STATIONARY, reason=REASONS[reason], gap=float(out.out_gap[k]),
-                steps=int(out.out_steps[k]),
+                steps=int(out.out_steps[k]), jumps=int(out.out_jumps[k]),
             )
             outcomes.append((record, out.out_blocks[k]))
         return outcomes

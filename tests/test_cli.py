@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, file formats, settings precedence."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -144,12 +145,16 @@ class TestOptimizeCommand:
 
     def test_json_lists_steps_per_start(self, capsys):
         code, out, _ = run(
-            capsys, "optimize", "--n", "2", "--r", "3", "--starts", "3", "--seed", "2", "--json"
+            capsys, "optimize", "--n", "2", "--r", "4", "--starts", "3", "--seed", "6", "--json"
         )
         assert code == 0
-        steps = [rec["steps"] for rec in json.loads(out)["per_start"]]
+        per_start = json.loads(out)["per_start"]
+        steps = [rec["steps"] for rec in per_start]
         assert len(steps) == 4 and all(isinstance(s, int) for s in steps)
         assert all(s > 0 for s in steps[:-1])  # the conjectured start may need none
+        jumps = [rec["jumps"] for rec in per_start]
+        assert all(isinstance(j, int) for j in jumps)
+        assert jumps[1] > 0  # start 1 crawls along a ridge and extrapolates
 
 
 class TestSweepCommand:
@@ -187,6 +192,29 @@ class TestSweepCommand:
             "--no-timing", "--strict-conjecture",
         )
         assert code == 0
+
+
+    def test_every_gap_over_the_tolerance_is_reported(self, capsys, monkeypatch):
+        real = cli.multistart_maximize
+        faked = {(1, 1): 1e-3, (3, 3): 2e-3}  # a proven cell and an open one
+
+        def spy(n, r, config):
+            result = real(n, r, config)
+            if (n, r) in faked:
+                result = dataclasses.replace(result, gap_to_bound=faked[n, r])
+            return result
+
+        monkeypatch.setattr(cli, "multistart_maximize", spy)
+        code, _, err = run(
+            capsys, "sweep", "--n-max", "3", "--r-max", "3", "--starts", "2", "--no-timing",
+            "--strict-conjecture",
+        )
+        assert code == 1
+        assert [line for line in err.splitlines() if "exceeds" in line] == [
+            "GAP IN PROVEN CELL: (n=1, r=1) gap=+1.000000e-03 exceeds 1e-06",
+            "POTENTIAL COUNTEREXAMPLE: (n=3, r=3) gap=+2.000000e-03 exceeds 1e-06",
+        ]
+        assert "gaps > +1e-06: 1" in err
 
 
 class TestVerifyCommand:

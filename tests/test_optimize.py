@@ -1,5 +1,7 @@
 """Block-ascent maximizer, gradients, grid oracle, determinism."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from maxentsum import (
     sum_distribution,
 )
 from maxentsum import optimize
+from maxentsum.pmf import ZERO_FLOOR
 
 LOG2E = math.log2(math.e)
 
@@ -273,13 +276,83 @@ class TestInexactBlocks:
                 assert rec.converged == (rec.reason == "stationary")
 
 
+#: The (2,4) start that crawls along a ridge: 230 sweeps without extrapolation.
+RIDGE = dict(starts=1, seed=54, include_conjectured_start=False)
+
+
+def _plain_digest(result):
+    """sha256 of ``as_dict()`` without ``jumps``, as plain cyclic ascent reports it."""
+    payload = result.as_dict()
+    for rec in payload["per_start"]:
+        del rec["jumps"]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestExtrapolation:
+    def _jumped(self, monkeypatch):
+        """Record, per accepted extrapolation, the new blocks and the free mask."""
+        jumped = []
+        original = optimize._Lockstep._extrapolate
+
+        def extrapolate(run, idx):
+            before = run.blocks[idx].copy()
+            original(run, idx)
+            after = run.blocks[idx]
+            for k in (after != before).any(axis=(1, 2)).nonzero()[0]:
+                jumped.append((after[k].copy(), run.block_neg == 0.0))
+
+        monkeypatch.setattr(optimize._Lockstep, "_extrapolate", extrapolate)
+        return jumped
+
+    def test_ridge_start_jumps_without_zeroing_a_free_mass(self, monkeypatch):
+        jumped = self._jumped(monkeypatch)
+        rec = multistart_maximize(2, 4, OptimizerConfig(**RIDGE)).per_start[0]
+        assert rec.converged and rec.sweeps < 100
+        assert rec.jumps == len(jumped) > 0
+        for blocks, free in jumped:
+            assert (blocks[free] > ZERO_FLOOR).all()
+
+    def test_pinned_masses_stay_zero(self, monkeypatch):
+        jumped = self._jumped(monkeypatch)
+        result = restricted_maximize(3, 5, 2, OptimizerConfig(starts=8, seed=1))
+        assert sum(rec.jumps for rec in result.per_start) == len(jumped) > 0
+        for blocks, free in jumped:
+            assert (blocks[~free] == 0.0).all() and (blocks[free] > ZERO_FLOOR).all()
+
+    def test_steps_count_trials_and_are_pinned(self, cut_runs):
+        cells = [cell for cell in CUT_CELLS if cell[:2] == (2, 4)]
+        records = [rec for cell in cells for rec in cut_runs[cell].per_start]
+        assert sum(rec.steps for rec in records) == 49_876  # 89,097 without extrapolation
+        assert sum(rec.jumps for rec in records) == 36
+
+    # Each digest was recorded from the same call before extrapolation existed.
+    @pytest.mark.parametrize("n, r, config, digest", [
+        (3, 2, dict(starts=6, seed=3),
+         "9a0caf555ad7158ef637cf4761670a7ae7acdfc831f92b5003a5d9c087235e19"),
+        (2, 4, RIDGE, "108cca28bce8f10b81c8ae97e153598e40f9dd0345da13c3fcb7c206e4ec9837"),
+    ])
+    def test_gate_past_the_sweep_cap_gives_plain_ascent(self, monkeypatch, n, r, config, digest):
+        config = OptimizerConfig(**config)
+        monkeypatch.setattr(optimize, "_XFROM", config.max_outer_sweeps + 1)
+        result = multistart_maximize(n, r, config)
+        assert all(rec.jumps == 0 for rec in result.per_start)
+        assert _plain_digest(result) == digest
+
+
 class TestLockstepDeterminism:
-    @pytest.mark.parametrize("n, r", [(2, 3), (3, 2)])
-    def test_start_does_not_depend_on_its_batch(self, n, r):
-        alone = multistart_maximize(n, r, OptimizerConfig(starts=1, include_conjectured_start=False))
-        batched = multistart_maximize(n, r, OptimizerConfig(starts=8, include_conjectured_start=False))
+    @pytest.mark.parametrize("n, r, seed", [
+        pytest.param(2, 3, 0, id="2-3"),
+        pytest.param(3, 2, 0, id="3-2"),
+        pytest.param(2, 4, 54, id="2-4-seed54"),  # start 0 extrapolates along a ridge
+    ])
+    def test_start_does_not_depend_on_its_batch(self, n, r, seed):
+        alone = multistart_maximize(
+            n, r, OptimizerConfig(starts=1, seed=seed, include_conjectured_start=False))
+        batched = multistart_maximize(
+            n, r, OptimizerConfig(starts=8, seed=seed, include_conjectured_start=False))
         a, b = alone.per_start[0], batched.per_start[0]
         assert (a.value, a.sweeps, a.converged) == (b.value, b.sweeps, b.converged)
+        assert (a.steps, a.jumps) == (b.steps, b.jumps)
 
     def test_results_do_not_depend_on_chunks_or_workers(self, monkeypatch):
         cfg = OptimizerConfig(starts=8, seed=5)
