@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, MaxentsumError, NotASpecialCaseError
+from .errors import DomainError, MaxentsumError, NotASpecialCaseError, check_count
 from .pmf import Pmf, binary_entropy
 
 #: Above this n, log2 of binomial coefficients is taken via lgamma instead of
@@ -30,10 +30,8 @@ _LN2 = math.log(2.0)
 
 
 def _check_nr(n: int, r: int) -> None:
-    if int(n) != n or n < 1:
-        raise DomainError(f"summand count must be an integer >= 1, got {n!r}")
-    if int(r) != r or r < 1:
-        raise DomainError(f"alphabet top must be an integer >= 1, got {r!r}")
+    check_count("summand count", n, 1)
+    check_count("alphabet top", r, 1)
 
 
 def binomial_half_entropy(n: int) -> float:

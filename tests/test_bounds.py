@@ -117,10 +117,12 @@ class TestConjecturedWeight:
                 assert 0.0 < w0 <= 1.0
                 assert (w0 == 1.0) == (r == 1)
 
-    @pytest.mark.parametrize("n,r", [(0, 2), (2, 0), (-1, 3)])
+    @pytest.mark.parametrize("n,r", [(0, 2), (2, 0), (-1, 3), (2.0, 3), (2, 3.0), (True, 2)])
     def test_domain(self, n, r):
         with pytest.raises(DomainError):
             conjectured_weight(n, r)
+        with pytest.raises(DomainError):
+            conjectured_inputs(n, r)
 
 
 class TestBoundValueAt:

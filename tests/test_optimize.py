@@ -1,6 +1,7 @@
 """Block-ascent maximizer, gradients, grid oracle, determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -24,6 +25,7 @@ from maxentsum import (
     sum_distribution,
 )
 from maxentsum import optimize
+from maxentsum.kernels import conv_rows
 from maxentsum.pmf import ZERO_FLOOR
 
 LOG2E = math.log2(math.e)
@@ -175,6 +177,10 @@ class TestMultistart:
         result = multistart_maximize(2, 1, cfg)
         assert len(result.per_start) == 4
         assert result.best_value == pytest.approx(1.5, abs=1e-7)
+
+    def test_summand_count_domain(self):
+        with pytest.raises(DomainError, match="summand count must be an integer >= 1, got 2.0"):
+            multistart_maximize(2.0, 3)
 
 
 class TestConvergenceFlag:
@@ -402,6 +408,27 @@ class TestRestricted:
             restricted_maximize(3, 2, 4)
 
 
+def per_head_oracle(n, r, k):
+    """The grid oracle evaluated in floating point at every sorted head."""
+    grid = optimize._grid_counts(k, r) / k
+    if n == 1:
+        return optimize._batch_entropy_max(grid)
+    best = -math.inf
+    for head in itertools.combinations_with_replacement(range(len(grid)), n - 1):
+        partial = grid[head[0]]
+        for idx in head[1:]:
+            partial = np.convolve(partial, grid[idx])
+        sums = conv_rows(partial[None, :], grid[head[-1] :])
+        best = max(best, optimize._batch_entropy_max(sums))
+    return best
+
+
+ORACLE_CELLS = [
+    (1, 1, 2), (2, 1, 64), (2, 2, 3), (2, 2, 6), (2, 2, 12), (2, 2, 24), (2, 2, 48),
+    (2, 3, 24), (2, 4, 12), (3, 1, 8), (3, 2, 6), (3, 2, 12), (3, 3, 6), (4, 1, 10), (5, 1, 6),
+]
+
+
 class TestGridOracle:
     def test_fair_coin_on_grid(self):
         assert grid_oracle(1, 1, 2) == pytest.approx(1.0, abs=1e-15)
@@ -423,10 +450,25 @@ class TestGridOracle:
         assert value <= binomial_half_entropy(3) + 1e-12
         assert value > binomial_half_entropy(3) - 0.05
 
+    @pytest.mark.parametrize("n,r,k", ORACLE_CELLS)
+    def test_equals_per_head_evaluation(self, n, r, k):
+        assert grid_oracle(n, r, k) == per_head_oracle(n, r, k)
+
+    def test_one_head_per_chunk(self, monkeypatch):
+        cells = [(2, 2, 24), (3, 2, 12), (4, 1, 10)]
+        values = [grid_oracle(*cell) for cell in cells]
+        monkeypatch.setattr(optimize, "_ORACLE_CHUNK", 1)
+        assert [grid_oracle(*cell) for cell in cells] == values
+
+    @pytest.mark.parametrize("n,r", [(1, 1), (2, 2)])
+    def test_point_masses_give_positive_zero(self, n, r):
+        assert math.copysign(1.0, grid_oracle(n, r, 1)) == 1.0
+
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError, match="budget"):
+        with pytest.raises(BudgetExceededError, match="ordered grid tuples, over the budget"):
             grid_oracle(2, 4, 24)
 
     def test_resolution_domain(self):
-        with pytest.raises(DomainError):
-            grid_oracle(2, 2, 0)
+        for args in [(2, 2, 0), (2, 2, 24.0), (2, 2, True), (2.0, 2, 3)]:
+            with pytest.raises(DomainError):
+                grid_oracle(*args)
