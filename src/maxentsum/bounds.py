@@ -36,8 +36,7 @@ def _check_nr(n: int, r: int) -> None:
 
 def binomial_half_entropy(n: int) -> float:
     """Entropy in bits of Binomial(n, 1/2), by exact summation; H(B_0) = 0."""
-    if int(n) != n or n < 0:
-        raise DomainError(f"need an integer n >= 0, got {n!r}")
+    check_count("n", n, 0)
     n = int(n)
     if n == 0:
         return 0.0

@@ -47,6 +47,10 @@ from .pmf import ZERO_FLOOR, Pmf, _entropy_bits, _finalize, as_pmf
 
 #: Hard cap on ordered grid tuples enumerated by the grid oracle.
 GRID_BUDGET = 100_000_000
+#: Hard cap on the grid masses the grid oracle holds at once: C(K+r, r) grid
+#: pmfs of r + 1 entries each, 32 MiB of float64 at the cap.  At n = 1 the
+#: tuple budget alone would admit arrays of gigabytes.
+GRID_ELEMENTS = 1 << 22
 #: The grid oracle's screen scores heads in chunks whose two work buffers
 #: hold about this many elements each (more only when one head needs more).
 _ORACLE_CHUNK = 1 << 16
@@ -462,7 +466,7 @@ def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
     blocks = _one_row(inputs, i)
     n, m = blocks.shape[1:]
     run = _Lockstep(blocks, np.zeros((n, m)), config, only_block=i).run()
-    return _finalize(run.out_blocks[0, i], "block_ascend")
+    return _finalize(run.out_blocks[0, i].copy(), "block_ascend")
 
 
 def _random_start(n: int, r: int, supports, seed: int, start_id: int) -> list[np.ndarray]:
@@ -517,7 +521,7 @@ def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> Optimization
     best, best_blocks = max(outcomes, key=lambda o: (o[0].value, -o[0].start_id))
     bound = entropy_lower_bound(n, r).bound_bits
     return OptimizationResult(
-        best_inputs=tuple(_finalize(b, "optimizer block") for b in best_blocks),
+        best_inputs=tuple(_finalize(b.copy(), "optimizer block") for b in best_blocks),
         best_value=best.value,
         per_start=tuple(record for record, _ in outcomes),
         gap_to_bound=best.value - bound,
@@ -543,7 +547,8 @@ def restricted_maximize(
 ) -> OptimizationResult:
     """Maximize H(S_n) with blocks ell+1, ..., n confined to the support {0, r}."""
     _check_nr(n, r)
-    if int(ell) != ell or not 1 <= ell <= n:
+    check_count("ell", ell, 1)
+    if ell > n:
         raise DomainError(f"need 1 <= ell <= n, got ell = {ell!r}")
     two_point = np.array([0, r])
     supports = [None if i < ell else two_point for i in range(n)]
@@ -552,18 +557,26 @@ def restricted_maximize(
 
 
 def _grid_counts(resolution: int, r: int) -> np.ndarray:
-    """The compositions of ``resolution`` into r + 1 parts, one per row, as floats."""
-    rows: list[list[int]] = []
+    """The compositions of ``resolution`` into r + 1 parts, one per row in
+    lexicographic order, as floats."""
+    out = np.empty((math.comb(resolution + r, r), r + 1))
 
-    def extend(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            rows.append(prefix + [remaining])
+    def fill(rows: np.ndarray, remaining: int) -> None:
+        # ``rows`` receives every composition of ``remaining`` into its columns.
+        parts = rows.shape[1]
+        if parts == 2:
+            rows[:, 0] = np.arange(remaining + 1)
+            np.subtract(remaining, rows[:, 0], out=rows[:, 1])
             return
+        a = 0
         for v in range(remaining + 1):
-            extend(prefix + [v], remaining - v, slots - 1)
+            b = a + math.comb(remaining - v + parts - 2, parts - 2)
+            rows[a:b, 0] = v
+            fill(rows[a:b, 1:], remaining - v)
+            a = b
 
-    extend([], resolution, r + 1)
-    return np.asarray(rows, dtype=float)
+    fill(out, resolution)
+    return out
 
 
 def _batch_entropy_max(batch: np.ndarray) -> float:
@@ -623,8 +636,10 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     keeps the heads (the first n - 1 indices) whose best exact entropy lies
     within ``_ORACLE_SLACK`` bits of the maximum; only those heads are
     evaluated in floating point, and the result is the largest of those
-    values.  Raises :class:`BudgetExceededError` when the ordered tuple count
-    C(K+r, r)^n would exceed ``GRID_BUDGET``.
+    values.  Raises :class:`BudgetExceededError`, before it allocates the
+    grid, when the ordered tuple count C(K+r, r)^n would exceed
+    ``GRID_BUDGET`` or the grid's C(K+r, r) * (r + 1) masses would exceed
+    ``GRID_ELEMENTS``.
     """
     _check_nr(n, r)
     check_count("resolution", resolution, 1)
@@ -634,6 +649,11 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
         raise BudgetExceededError(
             f"grid oracle at K = {resolution} spans {grid_size}^{n} = {total} ordered "
             f"grid tuples, over the budget of {GRID_BUDGET}"
+        )
+    if grid_size * (r + 1) > GRID_ELEMENTS:
+        raise BudgetExceededError(
+            f"grid oracle at K = {resolution} holds {grid_size} grid pmfs of {r + 1} "
+            f"masses, over the budget of {GRID_ELEMENTS} masses"
         )
     counts = _grid_counts(resolution, r)
     grid = counts / resolution

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_count
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +37,29 @@ def _prob_array(values) -> np.ndarray:
     if arr.ndim != 1:
         raise ValidationError(f"probability vector must be 1-d, got shape {arr.shape}")
     return arr
+
+
+def _validate(arr: np.ndarray, total: float | None = None,
+              nouns: tuple[str, str] = ("mass", "masses")) -> None:
+    """Check that a 1-d vector is non-empty, its masses finite and >= 0, its sum 1.
+
+    One fused pass: the least entry and the sum (``total`` when the caller
+    already has it).  Only a vector that fails them is searched for its
+    first negative or non-finite entry, to name it in the error.
+    """
+    if arr.size < 1:
+        raise ValidationError("a pmf needs at least one entry")
+    if total is None:
+        total = float(np.add.reduce(arr))
+    if not (np.minimum.reduce(arr) >= 0.0 and math.isfinite(total)):
+        bad = np.flatnonzero(~((arr >= 0.0) & (arr < math.inf)))
+        if bad.size:
+            k = int(bad[0])
+            raise ValidationError(f"invalid {nouns[0]} {float(arr[k])!r} at index {k}")
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValidationError(
+            f"{nouns[1]} sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
+        )
 
 
 def _entropy_bits(arr: np.ndarray) -> float:
@@ -61,24 +84,23 @@ class Pmf:
 
     def __post_init__(self):
         arr = _prob_array(self.probs).copy()
-        if arr.size < 1:
-            raise ValidationError("a pmf needs at least one entry")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            k = int(np.argmin(np.nan_to_num(arr, nan=-np.inf)))
-            raise ValidationError(f"invalid mass {arr[k]!r} at index {k}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(
-                f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
+        _validate(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
     @classmethod
-    def _unchecked(cls, values) -> "Pmf":
-        # Private bypass for degenerate (all-zero) residue conditionals only.
+    def _adopt(cls, arr: np.ndarray, total: float | None = None) -> "Pmf":
+        # Private: validate and freeze a fresh array that no one else holds,
+        # without a second copy; ``total`` is its sum when already known.
+        _validate(arr, total)
+        return cls._unchecked(arr)
+
+    @classmethod
+    def _unchecked(cls, arr: np.ndarray) -> "Pmf":
+        # Private: freeze a fresh array without validating it.  Besides
+        # ``_adopt``, only the all-zero conditionals of degenerate residue
+        # classes take this path.
         self = object.__new__(cls)
-        arr = np.asarray(values, dtype=float).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
         return self
@@ -121,17 +143,20 @@ class Pmf:
 
 def as_pmf(p: PmfLike) -> Pmf:
     """Coerce an array-like to a validated :class:`Pmf` (no-op for Pmf input)."""
-    return p if isinstance(p, Pmf) else Pmf(_prob_array(p))
+    return p if isinstance(p, Pmf) else Pmf(p)
 
 
 def _finalize(raw: np.ndarray, context: str) -> Pmf:
-    """Wrap an operation output, renormalizing only when drift demands it."""
-    total = float(raw.sum())
+    """Wrap a fresh operation output that no one else holds, without copying it.
+
+    The output is renormalized only when its drift demands it.
+    """
+    total = float(np.add.reduce(raw))
     drift = abs(total - 1.0)
     if drift > RENORMALIZE_DRIFT:
         logger.debug("renormalizing %s output, drift %.3e", context, drift)
-        raw = raw / total
-    return Pmf(raw)
+        return Pmf._adopt(raw / total)
+    return Pmf._adopt(raw, total)
 
 
 def entropy(p: PmfLike) -> float:
@@ -177,7 +202,7 @@ def sum_distribution(inputs: Iterable[PmfLike]) -> Pmf:
     r = pmfs[0].m
     if any(p.m != r for p in pmfs):
         raise DomainError("summands must share a common alphabet {0, ..., r}")
-    acc = pmfs[0].probs
+    acc = pmfs[0].probs.copy()  # _finalize keeps the array it is given
     for p in pmfs[1:]:
         acc = np.convolve(acc, p.probs)
     return _finalize(acc, "sum_distribution")
@@ -199,15 +224,11 @@ class ResidueDecomposition:
     degenerate: tuple[bool, ...]
 
     def __post_init__(self):
-        if self.r < 1:
-            raise DomainError("modulus must be >= 1")
+        check_count("modulus", self.r, 1)
         w = _prob_array(self.weights).copy()
         if w.size != self.r or len(self.conditionals) != self.r or len(self.degenerate) != self.r:
             raise ValidationError("need exactly r weights, conditionals and flags")
-        if np.any(w < 0.0):
-            raise ValidationError("class weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError("class weights must sum to 1")
+        _validate(w, nouns=("class weight", "class weights"))
         for j, (flag, wj) in enumerate(zip(self.degenerate, w)):
             if flag != (wj == 0.0):
                 raise ValidationError(f"degenerate flag of class {j} contradicts its weight")
@@ -224,7 +245,7 @@ class ResidueDecomposition:
         out = np.zeros(m + 1)
         for j, (wj, cond) in enumerate(zip(self.weights, self.conditionals)):
             if wj > 0.0:
-                out[j + self.r * np.arange(len(cond))] = wj * cond.probs
+                out[j : j + self.r * len(cond) : self.r] = wj * cond.probs
         return _finalize(out, "reassemble")
 
 
@@ -234,8 +255,7 @@ def residue_decompose(p: PmfLike, r: int) -> ResidueDecomposition:
     For r = 1 the result is a single class of weight 1 whose conditional is
     ``p`` itself.
     """
-    if int(r) != r or r < 1:
-        raise DomainError(f"modulus must be an integer >= 1, got {r!r}")
+    check_count("modulus", r, 1)
     r = int(r)
     pmf = as_pmf(p)
     weights = np.empty(r)
@@ -243,13 +263,13 @@ def residue_decompose(p: PmfLike, r: int) -> ResidueDecomposition:
     degen: list[bool] = []
     for j in range(r):
         cls = pmf.probs[j::r]
-        wj = float(cls.sum())
+        wj = float(np.add.reduce(cls))
         weights[j] = wj
         if wj > 0.0:
             conds.append(_finalize(cls / wj, "residue conditional"))
             degen.append(False)
         else:
-            conds.append(Pmf._unchecked(np.zeros_like(cls)))
+            conds.append(Pmf._unchecked(np.zeros(cls.size)))
             degen.append(True)
     return ResidueDecomposition(
         r=r, weights=weights, conditionals=tuple(conds), degenerate=tuple(degen)
@@ -263,17 +283,13 @@ def mixture(conditionals: Sequence[PmfLike], weights: Sequence[float], r: int) -
     positions k*r + j.  Conditional lengths must be mutually consistent with a
     single support {0, ..., m}; classes of weight zero are ignored.
     """
-    if int(r) != r or r < 1:
-        raise DomainError(f"modulus must be an integer >= 1, got {r!r}")
+    check_count("modulus", r, 1)
     r = int(r)
     conds = list(conditionals)
     w = _prob_array(weights)
     if len(conds) != r or w.size != r:
         raise DomainError(f"expected exactly {r} weights and {r} conditionals")
-    if np.any(w < 0.0):
-        raise ValidationError("weights must be non-negative")
-    if abs(float(w.sum()) - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError("weights must sum to 1")
+    _validate(w, nouns=("weight", "weights"))
 
     arrays: dict[int, np.ndarray] = {}
     for j in range(r):
@@ -288,7 +304,7 @@ def mixture(conditionals: Sequence[PmfLike], weights: Sequence[float], r: int) -
             )
     out = np.zeros(m + 1)
     for j, arr in arrays.items():
-        out[j + r * np.arange(arr.size)] = w[j] * arr
+        out[j : j + r * arr.size : r] = w[j] * arr
     return _finalize(out, "mixture")
 
 
@@ -327,4 +343,4 @@ def read_pmf(source) -> Pmf:
             raise ValidationError(f"line {lineno}: cannot parse {line!r} as a mass") from exc
     if not values:
         raise ValidationError("no mass values found")
-    return Pmf(np.array(values))
+    return Pmf._adopt(np.array(values))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_count
 from .pmf import Pmf, PmfLike, as_pmf, residue_decompose, sum_distribution
 
 #: Inequalities pass when their slack is >= -SLACK_COEFF * max(u)^2; margins
@@ -57,8 +57,7 @@ def ulc_order_margins(u, order: int) -> np.ndarray:
     of u_i / C(order, i).
     """
     arr = _nonneg_array(u)
-    if int(order) != order or order < 0:
-        raise DomainError(f"order must be an integer >= 0, got {order!r}")
+    check_count("order", order, 0)
     if arr.shape[-1] > order + 1:
         raise DomainError(
             f"sequence of length {arr.shape[-1]} cannot be ultra-log-concave "
@@ -372,10 +371,8 @@ def random_ulc_sequences(
     (log-concave u_i / C(order, i) built from sorted random ratios) when the
     rejection yield falls short.  Deterministic given the generator state.
     """
-    if int(order) != order or order < 1:
-        raise DomainError(f"order must be an integer >= 1, got {order!r}")
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    check_count("order", order, 1)
+    check_count("count", count, 1)
     length = order + 1
     draws = rng.dirichlet(np.ones(length), size=rejection_factor * count)
     margins = ulc_order_margins(draws, order)

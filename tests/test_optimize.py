@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -467,6 +468,35 @@ class TestGridOracle:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError, match="ordered grid tuples, over the budget"):
             grid_oracle(2, 4, 24)
+
+    def test_element_budget_guard(self):
+        # C(10002, 2) = 50,015,001 grid pmfs pass the tuple budget at n = 1.
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="masses, over the budget of"):
+            grid_oracle(1, 2, 10000)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("cell,value", [
+        ((2, 3, 24), 2.7715354233178195),
+        ((3, 2, 12), 2.6585775391837685),
+        ((1, 2, 1000), 1.584961058506293),
+    ])
+    def test_frozen_values(self, cell, value):
+        assert grid_oracle(*cell) == value
+
+    @pytest.mark.parametrize("k,r", [(0, 3), (1, 1), (1, 6), (3, 2), (6, 4), (12, 2), (24, 3)])
+    def test_grid_counts_match_recursive_enumeration(self, k, r):
+        rows = []
+
+        def extend(prefix, remaining, slots):
+            if slots == 1:
+                rows.append(prefix + [remaining])
+                return
+            for v in range(remaining + 1):
+                extend(prefix + [v], remaining - v, slots - 1)
+
+        extend([], k, r + 1)
+        assert optimize._grid_counts(k, r).tobytes() == np.asarray(rows, dtype=float).tobytes()
 
     def test_resolution_domain(self):
         for args in [(2, 2, 0), (2, 2, 24.0), (2, 2, True), (2.0, 2, 3)]:

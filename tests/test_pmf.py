@@ -8,18 +8,27 @@ import pytest
 
 from maxentsum import (
     DomainError,
+    OptimizerConfig,
     Pmf,
+    ResidueDecomposition,
     ValidationError,
     binary_entropy,
+    binomial_half_entropy,
+    block_ascend,
     convolve,
     entropy,
     mixture,
+    multistart_maximize,
+    random_ulc_sequences,
     read_pmf,
     residue_decompose,
+    restricted_maximize,
     sum_distribution,
     write_pmf,
 )
 from maxentsum.bounds import conjectured_inputs, conjectured_weight
+from maxentsum.pmf import NORMALIZATION_TOL, RENORMALIZE_DRIFT
+from maxentsum.ulc import ulc_order_margins
 
 
 def random_pmf(rng, m):
@@ -360,3 +369,251 @@ class TestTextFormat:
         write_pmf(p, buffer)
         buffer.seek(0)
         assert read_pmf(buffer).probs.tolist() == [value, 1.0 - value]
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize("values,message", [
+        ([math.inf, 0.0], "invalid mass inf at index 0"),
+        ([0.5, math.nan, 0.5], "invalid mass nan at index 1"),
+        ([0.5, -0.1, 0.6], "invalid mass -0.1 at index 1"),
+        ([1e308, 1e308], "masses sum to inf, expected 1 within 1e-12"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    def test_names_the_first_bad_entry(self, values, message):
+        with pytest.raises(ValidationError) as info:
+            Pmf(values)
+        assert str(info.value) == message
+
+
+class TestNonFiniteWeights:
+    def test_decomposition_rejects_nan_weight(self):
+        q = Pmf.uniform(1)
+        with pytest.raises(ValidationError, match="invalid class weight nan at index 0"):
+            ResidueDecomposition(
+                r=2, weights=[math.nan, 1.0], conditionals=(q, q), degenerate=(False, False)
+            )
+
+    def test_mixture_rejects_nan_weight(self):
+        q = Pmf.uniform(1)
+        with pytest.raises(ValidationError, match="invalid weight nan at index 0"):
+            mixture([q, q], [math.nan, 1.0], 2)
+
+    def test_mixture_rejects_lone_nan_weight(self):
+        with pytest.raises(ValidationError, match="invalid weight nan at index 0"):
+            mixture([Pmf.uniform(2)], [math.nan], 1)
+
+
+_P3 = Pmf.uniform(3)
+
+
+def _integer_case(name, call, value, least):
+    message = f"{name} must be an integer >= {least}, got {value!r}"
+    return pytest.param(call, value, message, id=f"{call.__name__}-{value!r}")
+
+
+def _decomposition(r):
+    return ResidueDecomposition(r=r, weights=[1.0], conditionals=(_P3,), degenerate=(False,))
+
+
+def _mixture(r):
+    return mixture([_P3], [1.0], r)
+
+
+def _restricted(ell):
+    return restricted_maximize(3, 2, ell, OptimizerConfig(starts=1))
+
+
+def _margins(order):
+    return ulc_order_margins([0.5, 0.5] if order is True else [0.25, 0.5, 0.25], order)
+
+
+def _ulc_order(order):
+    return random_ulc_sequences(order, 4, np.random.default_rng(0))
+
+
+def _ulc_count(count):
+    return random_ulc_sequences(2, count, np.random.default_rng(0))
+
+
+def _decompose(r):
+    return residue_decompose(_P3, r)
+
+
+@pytest.mark.parametrize("call,value,message", [
+    _integer_case("modulus", _decompose, True, 1),
+    _integer_case("modulus", _decompose, 2.0, 1),
+    _integer_case("modulus", _mixture, True, 1),
+    _integer_case("modulus", _mixture, 1.0, 1),
+    _integer_case("modulus", _decomposition, True, 1),
+    _integer_case("modulus", _decomposition, 0, 1),
+    _integer_case("ell", _restricted, True, 1),
+    _integer_case("ell", _restricted, 2.0, 1),
+    _integer_case("n", binomial_half_entropy, True, 0),
+    _integer_case("n", binomial_half_entropy, 2.0, 0),
+    _integer_case("order", _margins, True, 0),
+    _integer_case("order", _margins, 2.0, 0),
+    _integer_case("order", _ulc_order, True, 1),
+    _integer_case("order", _ulc_order, 2.0, 1),
+    _integer_case("count", _ulc_count, True, 1),
+])
+def test_integer_arguments_are_checked(call, value, message):
+    # Each of these values ran before integer arguments went through
+    # errors.check_count (0 already raised, with another message).
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == message
+
+
+# Test-only copies of the validation and reassembly code before the one-pass
+# validator; the current code must reproduce their arrays byte for byte and
+# reject what they rejected with the same exception type.
+
+
+def reference_pmf(values):
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValidationError(f"probability vector must be 1-d, got shape {arr.shape}")
+    arr = arr.copy()
+    if arr.size < 1:
+        raise ValidationError("a pmf needs at least one entry")
+    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        k = int(np.argmin(np.nan_to_num(arr, nan=-np.inf)))
+        raise ValidationError(f"invalid mass {arr[k]!r} at index {k}")
+    total = float(arr.sum())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValidationError(f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}")
+    return arr
+
+
+def reference_finalize(raw):
+    total = float(raw.sum())
+    if abs(total - 1.0) > RENORMALIZE_DRIFT:
+        raw = raw / total
+    return reference_pmf(raw)
+
+
+def reference_reassemble(dec):
+    m = max((len(c) - 1) * dec.r + j for j, c in enumerate(dec.conditionals) if len(c) > 0)
+    out = np.zeros(m + 1)
+    for j, (wj, cond) in enumerate(zip(dec.weights, dec.conditionals)):
+        if wj > 0.0:
+            out[j + dec.r * np.arange(len(cond))] = wj * cond.probs
+    return reference_finalize(out)
+
+
+def reference_mixture(conditionals, weights, r):
+    if int(r) != r or r < 1:
+        raise DomainError(f"modulus must be an integer >= 1, got {r!r}")
+    r = int(r)
+    conds = list(conditionals)
+    w = np.asarray(weights, dtype=float)
+    if len(conds) != r or w.size != r:
+        raise DomainError(f"expected exactly {r} weights and {r} conditionals")
+    if np.any(w < 0.0):
+        raise ValidationError("weights must be non-negative")
+    if abs(float(w.sum()) - 1.0) > NORMALIZATION_TOL:
+        raise ValidationError("weights must sum to 1")
+    arrays = {j: reference_pmf(conds[j].probs) for j in range(r) if w[j] > 0.0}
+    m = max((arr.size - 1) * r + j for j, arr in arrays.items())
+    out = np.zeros(m + 1)
+    for j, arr in arrays.items():
+        out[j + r * np.arange(arr.size)] = w[j] * arr
+    return reference_finalize(out)
+
+
+def outcome(call, *args):
+    """The bytes of a call's array, or the type of the exception it raised."""
+    try:
+        result = call(*args)
+    except Exception as exc:  # noqa: BLE001 - the type itself is compared
+        return type(exc)
+    return (result if isinstance(result, np.ndarray) else result.probs).tobytes()
+
+
+def random_case(rng):
+    """A pmf with some classes mod r emptied and a drift below the tolerance,
+    one time in eight with an invalid entry or sum."""
+    r = int(rng.integers(1, 6))
+    probs = rng.dirichlet(np.ones(int(rng.integers(1, 5 * r + 1))))
+    if rng.random() < 0.4:
+        for j in rng.permutation(r)[: int(rng.integers(1, r + 1)) - 1]:
+            probs[j::r] = 0.0
+        probs[0] += probs.sum() == 0.0  # short pmfs may have lost every class
+        probs /= probs.sum()
+    probs *= 1.0 + rng.choice([0.0, 3e-15, 4e-14, 6e-13])
+    if rng.random() < 0.125:
+        probs[int(rng.integers(probs.size))] = rng.choice(
+            [math.nan, math.inf, -math.inf, -1e-3, 1e308, 1e-9 + probs[0]]
+        )
+    return r, probs
+
+
+class TestMatchesReference:
+    def test_random_inputs_byte_for_byte(self):
+        rng = np.random.default_rng(8)
+        rejected = degenerate = 0
+        for _ in range(2000):
+            r, probs = random_case(rng)
+            expected = outcome(reference_pmf, probs)
+            assert outcome(Pmf, probs) == expected
+            if not isinstance(expected, bytes):
+                rejected += 1
+                continue
+            dec = residue_decompose(probs, r)
+            degenerate += any(dec.degenerate)
+            assert outcome(dec.reassemble) == outcome(reference_reassemble, dec)
+            args = (dec.conditionals, dec.weights, r)
+            assert outcome(mixture, *args) == outcome(reference_mixture, *args)
+            other = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+            assert outcome(convolve, probs, other) == outcome(
+                reference_finalize, np.convolve(reference_pmf(probs), other)
+            )
+        assert rejected > 100 and degenerate > 100
+
+    @pytest.mark.parametrize("values", [
+        [], [[0.5, 0.5]], 0.5, [0.5, 0.5 + 1e-9], [math.nan], [-math.inf, 1.0], ["x"],
+    ])
+    def test_rejections_keep_their_type(self, values):
+        assert outcome(Pmf, values) == outcome(reference_pmf, values)
+
+
+class TestOutputsAreFrozenCopies:
+    """Every Pmf an operation returns is read-only and owns its own buffer."""
+
+    @staticmethod
+    def check(pmf, *others):
+        assert not pmf.probs.flags.writeable
+        assert pmf.probs.flags.owndata
+        for other in others:
+            assert not np.shares_memory(pmf.probs, other)
+
+    def test_pmf_operations(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(7))
+        self.check(Pmf(a), a)
+        self.check(convolve(a, b), a, b)
+        single = Pmf(a)
+        self.check(sum_distribution([single]), a, single.probs)
+        self.check(sum_distribution([a, b]), a, b)
+        a[2::3] = 0.0  # class 2 mod 3 becomes degenerate
+        a /= a.sum()
+        dec = residue_decompose(a, 3)
+        assert dec.degenerate == (False, False, True)
+        assert not dec.weights.flags.writeable
+        for cond in dec.conditionals:
+            self.check(cond, a)
+        self.check(dec.reassemble(), a)
+        weights = np.array(dec.weights)
+        self.check(mixture(dec.conditionals, weights, 3), a, weights)
+        self.check(read_pmf(io.StringIO("0.25\n0.75\n")))
+
+    def test_optimizer_outputs(self):
+        rng = np.random.default_rng(4)
+        inputs = [rng.dirichlet(np.ones(4)) for _ in range(3)]
+        first, second = block_ascend(inputs, 1), block_ascend(inputs, 1)
+        self.check(first, *inputs, second.probs)
+        config = OptimizerConfig(starts=3, seed=2)
+        one = multistart_maximize(2, 3, config).best_inputs
+        two = multistart_maximize(2, 3, config).best_inputs
+        for k, block in enumerate(one):
+            self.check(block, *(p.probs for p in two), *(p.probs for p in one[k + 1 :]))
