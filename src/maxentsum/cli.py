@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import suites
-from .bounds import conjectured_inputs, entropy_lower_bound
-from .errors import DomainError, MaxentsumError
+from .bounds import SPECIAL_GENERAL, conjectured_inputs, entropy_lower_bound
+from .errors import DomainError, MaxentsumError, check_count
 from .optimize import OptimizerConfig, multistart_maximize, restricted_maximize
 from .parallel import thread_count
 from .pmf import sum_distribution, write_pmf
@@ -74,11 +74,6 @@ COMMAND_SETTINGS = {
 
 class _UsageError(Exception):
     pass
-
-
-def proven_case(n: int, r: int) -> bool:
-    """Whether equality of bound and maximum is a theorem for this cell."""
-    return n == 1 or r == 1 or n == 2 or (n, r) == (3, 2)
 
 
 def _human(x: float) -> str:
@@ -226,8 +221,8 @@ def _cmd_optimize(cfg: _Settings) -> int:
 def _cmd_sweep(cfg: _Settings) -> int:
     n_max = cfg.get("n-max", required=True)
     r_max = cfg.get("r-max", required=True)
-    if n_max < 1 or r_max < 1:
-        raise _UsageError("--n-max and --r-max must be >= 1")
+    check_count("--n-max", n_max, 1)
+    check_count("--r-max", r_max, 1)
     gap_tol = cfg.get("tol", default=1e-6)
     if not (math.isfinite(gap_tol) and gap_tol >= 0.0):
         raise DomainError(f"--tol must be a finite number >= 0, got {gap_tol!r}")
@@ -242,9 +237,10 @@ def _cmd_sweep(cfg: _Settings) -> int:
             t0 = time.perf_counter()
             result = multistart_maximize(n, r, oc)
             wall_ms = 0.0 if no_timing else (time.perf_counter() - t0) * 1000.0
-            bound = entropy_lower_bound(n, r).bound_bits
+            report = entropy_lower_bound(n, r)
+            bound = report.bound_bits
             gap = result.gap_to_bound
-            proven = proven_case(n, r)
+            proven = report.special_case != SPECIAL_GENERAL  # equality is a theorem here
             cells.append((n, r, gap, proven))
             lines.append(
                 ",".join(

@@ -72,8 +72,6 @@ _XFROM = 16
 _ALIGN = 0.99
 _ETA_MAX = 1e6
 _ETA_MIN = 1e-14
-#: Random starts per ``ordered_map`` job; the conjectured start joins the last job.
-_START_CHUNK = 64
 
 #: Why a start stopped (``StartRecord.reason``); only "stationary" is converged.
 REASONS = ("stationary", "inner_budget", "step_underflow", "max_outer_sweeps")
@@ -494,37 +492,33 @@ def _conjectured_start(n: int, r: int, supports) -> list[np.ndarray]:
 
 
 def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> OptimizationResult:
-    start_ids = list(range(config.starts + config.include_conjectured_start))
-    bounds = list(range(0, config.starts, _START_CHUNK)) + [len(start_ids)]
-    chunks = [start_ids[a:b] for a, b in zip(bounds, bounds[1:])]
     neg = _free_neg(supports, n, r + 1)
 
-    def run(chunk: list[int]) -> list[tuple[StartRecord, np.ndarray]]:
+    def run(start_ids: list[int]) -> _Lockstep:
         blocks0 = np.array([
             _conjectured_start(n, r, supports) if sid == config.starts
             else _random_start(n, r, supports, config.seed, sid)
-            for sid in chunk
+            for sid in start_ids
         ])
-        out = _Lockstep(blocks0, neg, config).run()
-        outcomes = []
-        for k, sid in enumerate(chunk):
-            reason = int(out.out_reason[k])
-            record = StartRecord(
-                start_id=sid, value=float(out.out_value[k]), sweeps=int(out.out_sweeps[k]),
-                converged=reason == _STATIONARY, reason=REASONS[reason], gap=float(out.out_gap[k]),
-                steps=int(out.out_steps[k]), jumps=int(out.out_jumps[k]),
-            )
-            outcomes.append((record, out.out_blocks[k]))
-        return outcomes
+        return _Lockstep(blocks0, neg, config).run()
 
-    outcomes = [o for part in ordered_map(run, chunks) for o in part]
-    best, best_blocks = max(outcomes, key=lambda o: (o[0].value, -o[0].start_id))
-    bound = entropy_lower_bound(n, r).bound_bits
+    # All starts are rows of one lockstep, so there is one job; the call stays
+    # as the place where a benchmark may pause its clock between optimizer calls.
+    (out,) = ordered_map(run, [list(range(config.starts + config.include_conjectured_start))])
+    per_start = tuple(
+        StartRecord(start_id=sid, value=value, sweeps=sweeps, converged=reason == _STATIONARY,
+                    reason=REASONS[reason], gap=gap, steps=steps, jumps=jumps)
+        for sid, (value, sweeps, reason, gap, steps, jumps) in enumerate(zip(
+            out.out_value.tolist(), out.out_sweeps.tolist(), out.out_reason.tolist(),
+            out.out_gap.tolist(), out.out_steps.tolist(), out.out_jumps.tolist(),
+        ))
+    )
+    best = int(np.argmax(out.out_value))  # the first maximum: ties go to the lowest start id
     return OptimizationResult(
-        best_inputs=tuple(_finalize(b.copy(), "optimizer block") for b in best_blocks),
-        best_value=best.value,
-        per_start=tuple(record for record, _ in outcomes),
-        gap_to_bound=best.value - bound,
+        best_inputs=tuple(_finalize(b.copy(), "optimizer block") for b in out.out_blocks[best]),
+        best_value=per_start[best].value,
+        per_start=per_start,
+        gap_to_bound=per_start[best].value - entropy_lower_bound(n, r).bound_bits,
     )
 
 
@@ -533,9 +527,8 @@ def multistart_maximize(n: int, r: int, config: OptimizerConfig | None = None) -
 
     Deterministic given (config.seed, n, r): every start derives its own
     generator from the seed and its start index, runs as its own row of the
-    lockstep arrays, and the reduction is ordered with ties broken toward the
-    lowest start id.  Results do not depend on how starts are batched or on
-    the worker count.
+    lockstep arrays, and ties for the best value go to the lowest start id.
+    A start's record does not depend on which other starts share the call.
     """
     _check_nr(n, r)
     config = config or OptimizerConfig()

@@ -1,4 +1,5 @@
-"""Deterministic work partitioning shared by the optimizer and the suites."""
+"""Ordered job map for the suites' trial chunks, and for the optimizer's
+single job, which runs inline and is where a benchmark can pause its clock."""
 
 from __future__ import annotations
 
@@ -31,10 +32,11 @@ def ordered_map(fn: Callable[[T], R], jobs: Sequence[T]) -> list[R]:
     """Map ``fn`` over ``jobs``, preserving job order in the result.
 
     Results are identical for any worker count: jobs are independent and the
-    reduction is ordered.
+    reduction is ordered.  A single job runs inline without reading
+    ``MAXENT_THREADS``.
     """
-    workers = min(thread_count(), max(len(jobs), 1))
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(thread_count(), len(jobs)) if len(jobs) > 1 else 1
+    if workers <= 1:
         return [fn(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))

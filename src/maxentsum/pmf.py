@@ -108,18 +108,15 @@ class Pmf:
     @classmethod
     def uniform(cls, m: int) -> "Pmf":
         """Uniform distribution on {0, ..., m}."""
-        if m < 0:
-            raise DomainError("support upper bound must be >= 0")
+        check_count("m", m, 0)
         return cls(np.full(m + 1, 1.0 / (m + 1)))
 
     @classmethod
     def point_mass(cls, value: int, m: int | None = None) -> "Pmf":
         """All mass at ``value``, on the support {0, ..., m} (default m = value)."""
-        if value < 0:
-            raise DomainError("point mass location must be >= 0")
+        check_count("value", value, 0)
         m = value if m is None else m
-        if m < value:
-            raise DomainError("support upper bound smaller than the mass location")
+        check_count("m", m, value)  # the support must hold the mass location
         arr = np.zeros(m + 1)
         arr[value] = 1.0
         return cls(arr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_count
 from .kernels import conv_rows, fold_rows, seeded_rng
 from .parallel import ordered_map
 from .pmf import Pmf, _entropy_bits, convolve, mixture, residue_decompose
@@ -67,8 +67,7 @@ def _run(suite: str, trials: int, seed: int, params: dict, work, merge: dict) ->
     ``seeded_rng(seed, i)``; violations are kept in chunk order and each stat
     is merged over the chunks with its function in ``merge`` (min, max or sum).
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    check_count("trials", trials, 1)
     plan = [(i, offset, min(CHUNK_SIZE, trials - offset))
             for i, offset in enumerate(range(0, trials, CHUNK_SIZE))]
 
@@ -92,8 +91,8 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
     the sum distribution, and tests class 0 at order n and classes j != 0 at
     order n - 1.  ``min_margin`` is None when no class has an interior index.
     """
-    if n < 1 or r < 1:
-        raise DomainError("need n >= 1 and r >= 1")
+    check_count("n", n, 1)
+    check_count("r", r, 1)
 
     def work(rng: np.random.Generator, offset: int, size: int):
         draws = [rng.dirichlet(np.ones(r + 1), size=size) for _ in range(n)]
@@ -236,8 +235,7 @@ def preserve_suite(trials: int, seed: int = 0, max_order: int = 8) -> SuiteRepor
     Per trial: a random ULC(m) sequence with m drawn from 1..max_order and a
     random Bernoulli weight; the convolution must pass at order m + 1.
     """
-    if max_order < 1:
-        raise DomainError("max_order must be >= 1")
+    check_count("max_order", max_order, 1)
 
     def work(rng: np.random.Generator, offset: int, size: int):
         orders = rng.integers(1, max_order + 1, size=size)
@@ -279,8 +277,8 @@ def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> Sui
     property of convolution by a multiple-of-r pmf within 1e-12.  Trials go
     one ``Pmf`` at a time, so the suite exercises the per-object API.
     """
-    if r is not None and r < 1:
-        raise DomainError("r must be >= 1")
+    if r is not None:
+        check_count("r", r, 1)
 
     def work(rng: np.random.Generator, offset: int, size: int):
         violations: list[dict] = []

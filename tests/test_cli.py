@@ -91,6 +91,16 @@ class TestExitCodes:
         assert code == 3
         assert "--tol" in err and out == ""
 
+    @pytest.mark.parametrize("argv, name", [
+        (("sweep", "--n-max", "0", "--r-max", "1"), "--n-max"),
+        (("sweep", "--n-max", "1", "--r-max", "0"), "--r-max"),
+        (("sweep", "--n-max", "1", "--r-max", "1", "--starts", "0"), "starts"),
+    ], ids=["n-max", "r-max", "starts"])
+    def test_out_of_range_count_is_domain_error(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert name in err and out == ""
+
     def test_io_error_on_unwritable_sweep_path(self, capsys):
         code, _, err = run(
             capsys,
@@ -193,6 +203,17 @@ class TestSweepCommand:
         )
         assert code == 0
 
+    def test_proven_case_column_matches_the_documented_set(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--n-max", "4", "--r-max", "3", "--starts", "1", "--no-timing"
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        proven = {(int(row[0]), int(row[1])) for row in rows if row[5] == "true"}
+        assert proven == {
+            (n, r) for n in range(1, 5) for r in range(1, 4)
+            if n == 1 or r == 1 or n == 2 or (n, r) == (3, 2)
+        }
 
     def test_every_gap_over_the_tolerance_is_reported(self, capsys, monkeypatch):
         real = cli.multistart_maximize

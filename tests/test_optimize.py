@@ -362,13 +362,29 @@ class TestLockstepDeterminism:
         assert (a.steps, a.jumps) == (b.steps, b.jumps)
 
     def test_results_do_not_depend_on_chunks_or_workers(self, monkeypatch):
-        cfg = OptimizerConfig(starts=8, seed=5)
+        cfg = OptimizerConfig(starts=200, seed=5)  # one batch across 64-start boundaries
+        monkeypatch.delenv("MAXENT_THREADS", raising=False)
         reference = multistart_maximize(2, 3, cfg).as_dict()
-        monkeypatch.setattr(optimize, "_START_CHUNK", 3)  # three jobs for the pool
         for threads in ("1", "2"):
             monkeypatch.setenv("MAXENT_THREADS", threads)
             assert multistart_maximize(2, 3, cfg).as_dict() == reference
 
+    def test_records_do_not_depend_on_the_start_count(self):
+        def records(starts):
+            cfg = OptimizerConfig(starts=starts, seed=5, include_conjectured_start=False)
+            return multistart_maximize(2, 3, cfg).per_start
+
+        assert records(200)[:130] == records(130)
+
+    def test_optimizer_does_not_read_the_thread_setting(self, monkeypatch):
+        cfg = OptimizerConfig(starts=4, seed=5)
+        monkeypatch.delenv("MAXENT_THREADS", raising=False)
+        reference = multistart_maximize(2, 3, cfg).as_dict()
+        monkeypatch.setenv("MAXENT_THREADS", "banana")  # a suite of several chunks raises
+        assert multistart_maximize(2, 3, cfg).as_dict() == reference
+
+    # The single ordered_map job is where perfbench pauses its clock between
+    # optimizer calls (``Workload.pause_at``), so the call has to stay.
     def test_starts_are_dispatched_through_ordered_map(self, monkeypatch):
         jobs = []
         original = optimize.ordered_map

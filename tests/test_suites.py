@@ -67,6 +67,31 @@ class TestSuitesPass:
         with pytest.raises(DomainError, match="trials"):
             suite(trials=0)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: decomposition_suite(4, 0, r=True), "r"),
+            (lambda: decomposition_suite(4, 0, r=2.0), "r"),
+            (lambda: ulc_suite(True, 2, 10), "n"),
+            (lambda: ulc_suite(2, 2.0, 10), "r"),
+            (lambda: preserve_suite(10, max_order=2.0), "max_order"),
+            (lambda: identity_suite(10.0), "trials"),
+            (lambda: sign_suite(True), "trials"),
+            (lambda: Pmf.uniform(True), "m"),
+            (lambda: Pmf.uniform(2.0), "m"),
+            (lambda: Pmf.point_mass(True), "value"),
+            (lambda: Pmf.point_mass(1, m=1.0), "m"),
+        ],
+        ids=[
+            "decomposition-r-bool", "decomposition-r-float", "ulc-n-bool", "ulc-r-float",
+            "preserve-max_order-float", "identity-trials-float", "sign-trials-bool",
+            "uniform-bool", "uniform-float", "point_mass-bool", "point_mass-m-float",
+        ],
+    )
+    def test_counts_must_be_integers(self, call, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer >= "):
+            call()
+
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
