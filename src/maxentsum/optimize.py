@@ -4,16 +4,22 @@ The driver is cyclic block ascent: H(S_n) is concave in each block separately
 (entropy is concave in the sum law, which is affine in any one block), so each
 block is solved by a monotone exponentiated-gradient update with backtracking.
 Each block subproblem is a channel-capacity problem, and the update is the
-Blahut-Arimoto step with an adaptive exponent.  Multistart over seeded
-Dirichlet initializations, plus the conjectured construction as an extra
-start, probes the non-concave joint landscape.  A brute-force grid oracle
-provides an independent lower estimate of the maximum.
+Blahut-Arimoto step with an adaptive exponent: the Newton length of H(S_n)
+along the update curve, at most twice the last accepted exponent, halved
+after a rejected candidate (accelerated Blahut-Arimoto, as in Matz and
+Duhamel 2004).  Multistart over seeded Dirichlet initializations, plus the
+conjectured construction as an extra start, probes the non-concave joint
+landscape.  A brute-force grid oracle provides an independent lower estimate
+of the maximum.
 
 All starts of a call run at once as rows of one array, in row-asynchronous
-lockstep: one iteration evaluates one candidate step for every live row, and
-a row that finishes its block moves on to its next block without waiting for
-the others.  Every row keeps its own state and the kernels compute each row
-independently, so a start's trajectory does not depend on its batch.
+lockstep: one iteration evaluates one candidate step for every active row.  A
+row that finishes its block waits, frozen, until the waiting rows are half of
+the live rows or the oldest has waited ``_WAIT`` iterations; then all of them
+move on to their next blocks in one batch, which costs about as much as moving
+one row.  Every row keeps its own state and the kernels compute each row
+independently, so a start's trajectory does not depend on its batch or on
+how long it waited.
 
 Cyclic ascent can crawl: near the conjectured maximizer two blocks trade the
 {0, r} role and the interior role over hundreds of sweeps, each sweep moving
@@ -43,7 +49,7 @@ from .kernels import (
     toeplitz_rows,
 )
 from .parallel import ordered_map
-from .pmf import ZERO_FLOOR, Pmf, _entropy_bits, _finalize, as_pmf
+from .pmf import LOG2E, ZERO_FLOOR, Pmf, _entropy_bits, _finalize, as_pmf
 
 #: Hard cap on ordered grid tuples enumerated by the grid oracle.
 GRID_BUDGET = 100_000_000
@@ -70,6 +76,10 @@ _GAP_CUT = 0.1
 #: the others pay nothing.
 _XFROM = 16
 _ALIGN = 0.99
+#: A row whose block ends waits, frozen, until the waiting rows are at least
+#: half of the live rows or the oldest has waited this many iterations: one
+#: batched block transition costs about as much as the transition of one row.
+_WAIT = 20
 _ETA_MAX = 1e6
 _ETA_MIN = 1e-14
 
@@ -168,13 +178,35 @@ def _block_terms(blocks: np.ndarray, cur: np.ndarray, others: np.ndarray):
     return toeplitz, sums, log2_rows(sums)
 
 
-def _shift_gap(grad: np.ndarray, neg: np.ndarray, p: np.ndarray):
-    """Gradient shifted to a zero maximum over the free coordinates (``-inf``
-    elsewhere), and the stationarity gap ``max g - g.p``."""
+def _ascent_terms(toeplitz: np.ndarray, sums: np.ndarray, logs: np.ndarray,
+                  neg: np.ndarray, p: np.ndarray):
+    """The block update's terms at ``p``: the gradient shifted to a zero
+    maximum over the free coordinates (``-inf`` elsewhere), the stationarity
+    gap ``max g - g.p`` and the Newton exponent.
+
+    Along the update curve ``q(eta) ∝ p exp(eta g)``, with ``c = g - g.p`` and
+    ``d = p c``, the objective has slope ``f'(0) = sum p c^2`` and curvature
+    ``-f''(0) = (1/ln 2) sum_s (T d)_s^2 / S_s - sum p c^3``.  The Newton
+    exponent is ``f'(0) / -f''(0)``, capped at ``_ETA_MAX``; it is
+    ``_ETA_MAX`` where the curve is flat or not concave.
+    """
+    grad = gradient_rows(toeplitz, logs)
     masked = grad + neg
     top = np.maximum.reduce(masked, axis=1, keepdims=True)
-    gap = top[:, 0] - np.add.reduce(grad * p, axis=1)
-    return masked - top, gap
+    mean = np.add.reduce(grad * p, axis=1, keepdims=True)
+    c = grad - mean
+    d = p * c
+    dc = d * c
+    slope = np.add.reduce(dc, axis=1)
+    td = np.matmul(toeplitz, d[:, :, None])[:, :, 0]
+    td *= td
+    td /= np.maximum(sums, ZERO_FLOOR)
+    curv = np.add.reduce(td, axis=1)
+    curv *= LOG2E  # 1 / ln 2
+    curv -= np.add.reduce(dc * c, axis=1)
+    newton = np.full_like(slope, _ETA_MAX)
+    np.divide(slope, curv, out=newton, where=(curv * _ETA_MAX > slope) & (slope > 0.0))
+    return masked - top, top[:, 0] - mean[:, 0], newton
 
 
 class _Lockstep:
@@ -188,18 +220,25 @@ class _Lockstep:
     cycle is the larger of ``inner_tol`` and ``_GAP_CUT`` times the entry gap.
     A sweep with a block cut short that way does not end its start.
 
+    A row whose block ends becomes inactive and waits with its state frozen;
+    ``run`` closes and enters the blocks of all waiting rows in one ``_settle``
+    once they are at least half of the live rows or the oldest has waited
+    ``_WAIT`` iterations.  Each block entry sets the exponent to the Newton
+    exponent, at most 2; an accepted candidate sets it to the new point's
+    Newton exponent, at most twice the old one, and a rejected one halves it.
+
     At the end of a sweep that does not end its start, ``_extrapolate`` may
     move the row along its last sweep move (see ``_XFROM``); the row then
     sweeps again from the new point, so a sweep that extrapolated never
-    settles its start.  Every live row evaluates one candidate per iteration,
-    so a row's step count is the iteration at which it retires plus its
-    extrapolation trials.
+    settles its start.  Every active row evaluates one candidate per
+    iteration, so a row's step count is the iteration at which it retires,
+    less the iterations it waited, plus its extrapolation trials.
     """
 
     _FIELDS = (
         "ids", "blocks", "cur", "neg", "toeplitz", "p", "shift", "value", "gap", "stop", "eta",
         "inner", "stalled", "sweeps", "prev", "sweep_gap", "sweep_reason",
-        "sweep_cut", "done",
+        "sweep_cut", "done", "active", "since", "idle",
     )
 
     def __init__(self, blocks: np.ndarray, neg: np.ndarray, config: OptimizerConfig,
@@ -230,6 +269,11 @@ class _Lockstep:
         self.sweep_reason = np.full(count, _STATIONARY)
         self.sweep_cut = np.zeros(count, dtype=bool)
         self.done = np.zeros(count, dtype=bool)
+        # Deferred block ends: a row that is not active waits, frozen, since
+        # the iteration in ``since``; ``idle`` counts the iterations it waited.
+        self.active = np.ones(count, dtype=bool)
+        self.since = np.zeros(count, dtype=int)
+        self.idle = np.zeros(count, dtype=int)
         self.out_blocks = np.empty_like(blocks)
         self.out_value = np.empty(count)
         self.out_sweeps = np.empty(count, dtype=int)
@@ -247,16 +291,31 @@ class _Lockstep:
     def run(self) -> "_Lockstep":
         self._settle(self.enter(self.ids))
         self._compact()
+        waiting = oldest = 0  # the waiting rows' count and the iteration the first began
         while self.ids.size:
             ended = self.step()
             if ended.size:
-                self._settle(ended)
+                if not waiting:
+                    oldest = self.iteration
+                waiting += ended.size
+                self.active[ended] = False
+                self.since[ended] = self.iteration
+            if waiting and (2 * waiting >= self.ids.size or self.iteration - oldest >= _WAIT):
+                idx = (~self.active).nonzero()[0]
+                self.idle[idx] += self.iteration - self.since[idx]
+                self.active[idx] = True
+                waiting = 0
+                self._settle(idx)
                 self._compact()
         return self
 
     def step(self) -> np.ndarray:
-        """Evaluate one candidate per row; return the rows whose block ended."""
+        """Evaluate one candidate per active row; return the active rows
+        whose block ended.  Waiting rows compute a candidate too, which costs
+        less than taking them out of the batch, but none of their state
+        changes."""
         self.iteration += 1
+        active = self.active[:, None]
         q = np.exp(self.eta * self.shift)
         q *= self.p
         q /= np.add.reduce(q, axis=1, keepdims=True)
@@ -264,18 +323,20 @@ class _Lockstep:
         logs = log2_rows(sums)
         value = entropy_rows(sums, logs)
         accepted = value >= self.value
+        accepted &= self.active
         if not accepted.any():
-            self.eta *= 0.5
-            return (self.eta[:, 0] < _ETA_MIN).nonzero()[0]
-        np.equal(value, self.value, out=self.stalled)  # accepted, below float resolution
-        shift, gap = _shift_gap(gradient_rows(self.toeplitz, logs), self.neg, q)
+            np.multiply(self.eta, 0.5, out=self.eta, where=active)
+            return ((self.eta[:, 0] < _ETA_MIN) & self.active).nonzero()[0]
+        self.stalled |= accepted & (value == self.value)  # accepted, below float resolution
+        shift, gap, newton = _ascent_terms(self.toeplitz, sums, logs, self.neg, q)
         column = accepted[:, None]
         np.copyto(self.p, q, where=column)
         np.copyto(self.shift, shift, where=column)
         np.copyto(self.value, value, where=accepted)
         np.copyto(self.gap, gap, where=accepted)
-        self.eta *= np.where(column, 2.0, 0.5)
-        np.minimum(self.eta, _ETA_MAX, out=self.eta)
+        twice = 2.0 * self.eta
+        np.multiply(self.eta, 0.5, out=self.eta, where=active)
+        np.minimum(twice, newton[:, None], out=self.eta, where=column)
         self.inner += accepted
         ended = (
             self.stalled
@@ -283,6 +344,7 @@ class _Lockstep:
             | (self.inner >= _MAX_INNER)
             | (self.eta[:, 0] < _ETA_MIN)
         )
+        ended &= self.active
         return ended.nonzero()[0]
 
     def enter(self, idx: np.ndarray) -> np.ndarray:
@@ -294,7 +356,7 @@ class _Lockstep:
         p = blocks[np.arange(idx.size), cur]
         toeplitz, sums, logs = _block_terms(blocks, cur, self.others)
         neg = self.block_neg[cur]
-        shift, gap = _shift_gap(gradient_rows(toeplitz, logs), neg, p)
+        shift, gap, newton = _ascent_terms(toeplitz, sums, logs, neg, p)
         self.toeplitz[idx] = toeplitz
         self.neg[idx] = neg
         self.p[idx] = p
@@ -303,7 +365,7 @@ class _Lockstep:
         self.gap[idx] = gap
         if self.only_block is None:
             self.stop[idx] = np.maximum(_GAP_CUT * gap, self.config.inner_tol)
-        self.eta[idx] = 2.0  # the unit exponent, doubled for the first step
+        self.eta[idx] = np.minimum(newton, 2.0)[:, None]
         self.inner[idx] = 0
         self.stalled[idx] = False
         return idx[gap <= self.config.inner_tol]
@@ -409,7 +471,7 @@ class _Lockstep:
         self.out_sweeps[ids] = self.sweeps[idx]
         self.out_reason[ids] = self.sweep_reason[idx]
         self.out_gap[ids] = self.sweep_gap[idx]
-        self.out_steps[ids] += self.iteration
+        self.out_steps[ids] += self.iteration - self.idle[idx]
         self.done[idx] = True
 
     def _compact(self) -> None:
