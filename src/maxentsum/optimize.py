@@ -7,10 +7,14 @@ Each block subproblem is a channel-capacity problem, and the update is the
 Blahut-Arimoto step with an adaptive exponent: the Newton length of H(S_n)
 along the update curve, at most twice the last accepted exponent, halved
 after a rejected candidate (accelerated Blahut-Arimoto, as in Matz and
-Duhamel 2004).  Multistart over seeded Dirichlet initializations, plus the
-conjectured construction as an extra start, probes the non-concave joint
-landscape.  A brute-force grid oracle provides an independent lower estimate
-of the maximum.
+Duhamel 2004), and never below ln 2, where it is the plain Blahut-Arimoto
+step, which never lowers H(S_n).  A block therefore ends only when its
+stationarity gap is small or its inner budget is spent; the gap bounds, in
+bits, what any change of that one block could still add (the Blahut-Arimoto
+upper bound on capacity).  Multistart over seeded Dirichlet initializations,
+plus the conjectured construction as an extra start, probes the non-concave
+joint landscape.  A brute-force grid oracle provides an independent lower
+estimate of the maximum.
 
 All starts of a call run at once as rows of one array, in row-asynchronous
 lockstep: one iteration evaluates one candidate step for every active row.  A
@@ -81,11 +85,14 @@ _ALIGN = 0.99
 #: batched block transition costs about as much as the transition of one row.
 _WAIT = 20
 _ETA_MAX = 1e6
-_ETA_MIN = 1e-14
+#: The least block exponent.  At ln 2 the update ``p * 2^shift`` is the
+#: Blahut-Arimoto step, which never lowers H(S_n) in exact arithmetic, so a
+#: candidate at this exponent is accepted without comparing rounded values.
+_ETA_BA = math.log(2.0)
 
 #: Why a start stopped (``StartRecord.reason``); only "stationary" is converged.
-REASONS = ("stationary", "inner_budget", "step_underflow", "max_outer_sweeps")
-_STATIONARY, _INNER_BUDGET, _STEP_UNDERFLOW, _MAX_SWEEPS = range(len(REASONS))
+REASONS = ("stationary", "inner_budget", "max_outer_sweeps")
+_STATIONARY, _INNER_BUDGET, _MAX_SWEEPS = range(len(REASONS))
 
 
 @dataclass(frozen=True)
@@ -110,13 +117,13 @@ class StartRecord:
     """Outcome of one start.
 
     ``converged`` holds exactly when the start met the outer tolerance and
-    every block ascent of its final sweep ended stationary (gap at most
-    ``inner_tol``, or a step that no longer changed the value in floating
-    point).  Otherwise ``reason`` names what stopped it.  ``gap`` is the
-    largest stationarity gap ``max g - g.p`` that a block of the final sweep
-    ended with.  ``steps`` counts the objective evaluations of the start:
-    its candidate block steps, accepted and rejected, and its extrapolation
-    trials.  ``jumps`` counts the extrapolations it accepted.
+    every block ascent of its final sweep ended stationary, with gap at most
+    ``inner_tol``.  Otherwise ``reason`` names what stopped it.  ``gap`` is
+    the largest stationarity gap ``max g - g.p`` that a block of the final
+    sweep ended with; it bounds, in bits, what any change of one block alone
+    could still add to H(S_n).  ``steps`` counts the objective evaluations
+    of the start: its candidate block steps, accepted and rejected, and its
+    extrapolation trials.  ``jumps`` counts the extrapolations it accepted.
     """
 
     start_id: int
@@ -215,10 +222,10 @@ class _Lockstep:
     Arrays hold one entry per live row and are compacted when rows finish.
     Between iterations every live row is inside a block with one candidate
     step pending; ``step`` evaluates it, ``close`` ends blocks and sweeps, and
-    ``enter`` starts a row's next block.  A block ends stationary, on a spent
-    inner budget, on step underflow or at its ``stop`` gap, which while rows
-    cycle is the larger of ``inner_tol`` and ``_GAP_CUT`` times the entry gap.
-    A sweep with a block cut short that way does not end its start.
+    ``enter`` starts a row's next block.  A block ends only at its ``stop``
+    gap or on a spent inner budget.  ``stop`` is ``inner_tol``, or while rows
+    cycle the larger of ``inner_tol`` and ``_GAP_CUT`` times the entry gap; a
+    sweep with a block cut short that way does not end its start.
 
     A row whose block ends becomes inactive and waits with its state frozen;
     ``run`` closes and enters the blocks of all waiting rows in one ``_settle``
@@ -226,6 +233,8 @@ class _Lockstep:
     ``_WAIT`` iterations.  Each block entry sets the exponent to the Newton
     exponent, at most 2; an accepted candidate sets it to the new point's
     Newton exponent, at most twice the old one, and a rejected one halves it.
+    The exponent never falls below ``_ETA_BA``, where a candidate is accepted
+    without comparing values.
 
     At the end of a sweep that does not end its start, ``_extrapolate`` may
     move the row along its last sweep move (see ``_XFROM``); the row then
@@ -237,7 +246,7 @@ class _Lockstep:
 
     _FIELDS = (
         "ids", "blocks", "cur", "neg", "toeplitz", "p", "shift", "value", "gap", "stop", "eta",
-        "inner", "stalled", "sweeps", "prev", "sweep_gap", "sweep_reason",
+        "inner", "sweeps", "prev", "sweep_gap", "sweep_reason",
         "sweep_cut", "done", "active", "since", "idle",
     )
 
@@ -262,7 +271,6 @@ class _Lockstep:
         self.stop = np.full(count, config.inner_tol)
         self.eta = np.ones((count, 1))
         self.inner = np.zeros(count, dtype=int)
-        self.stalled = np.zeros(count, dtype=bool)
         self.sweeps = np.zeros(count, dtype=int)
         self.prev = np.full(count, -math.inf)
         self.sweep_gap = np.full(count, -math.inf)
@@ -322,28 +330,21 @@ class _Lockstep:
         sums = np.matmul(self.toeplitz, q[:, :, None])[:, :, 0]
         logs = log2_rows(sums)
         value = entropy_rows(sums, logs)
-        accepted = value >= self.value
+        accepted = (value >= self.value) | (self.eta[:, 0] <= _ETA_BA)
         accepted &= self.active
         if not accepted.any():
-            np.multiply(self.eta, 0.5, out=self.eta, where=active)
-            return ((self.eta[:, 0] < _ETA_MIN) & self.active).nonzero()[0]
-        self.stalled |= accepted & (value == self.value)  # accepted, below float resolution
+            np.maximum(0.5 * self.eta, _ETA_BA, out=self.eta, where=active)
+            return accepted.nonzero()[0]
         shift, gap, newton = _ascent_terms(self.toeplitz, sums, logs, self.neg, q)
         column = accepted[:, None]
         np.copyto(self.p, q, where=column)
         np.copyto(self.shift, shift, where=column)
         np.copyto(self.value, value, where=accepted)
         np.copyto(self.gap, gap, where=accepted)
-        twice = 2.0 * self.eta
-        np.multiply(self.eta, 0.5, out=self.eta, where=active)
-        np.minimum(twice, newton[:, None], out=self.eta, where=column)
+        eta = np.where(column, np.minimum(2.0 * self.eta, newton[:, None]), 0.5 * self.eta)
+        np.maximum(eta, _ETA_BA, out=self.eta, where=active)
         self.inner += accepted
-        ended = (
-            self.stalled
-            | (self.gap <= self.stop)
-            | (self.inner >= _MAX_INNER)
-            | (self.eta[:, 0] < _ETA_MIN)
-        )
+        ended = (self.gap <= self.stop) | (self.inner >= _MAX_INNER)
         ended &= self.active
         return ended.nonzero()[0]
 
@@ -365,9 +366,8 @@ class _Lockstep:
         self.gap[idx] = gap
         if self.only_block is None:
             self.stop[idx] = np.maximum(_GAP_CUT * gap, self.config.inner_tol)
-        self.eta[idx] = np.minimum(newton, 2.0)[:, None]
+        self.eta[idx] = np.maximum(np.minimum(newton, 2.0), _ETA_BA)[:, None]
         self.inner[idx] = 0
-        self.stalled[idx] = False
         return idx[gap <= self.config.inner_tol]
 
     def close(self, idx: np.ndarray) -> np.ndarray:
@@ -376,12 +376,8 @@ class _Lockstep:
         config = self.config
         cur = self.cur[idx]
         self.blocks[idx, cur] = self.p[idx]
-        stationary = self.stalled[idx] | (self.gap[idx] <= config.inner_tol)
-        reason = np.where(
-            stationary,
-            _STATIONARY,
-            np.where(self.inner[idx] >= _MAX_INNER, _INNER_BUDGET, _STEP_UNDERFLOW),
-        )
+        stationary = self.gap[idx] <= config.inner_tol
+        reason = np.where(stationary, _STATIONARY, _INNER_BUDGET)
         first = self.sweep_reason[idx] == _STATIONARY
         self.sweep_reason[idx[first]] = reason[first]
         # A cut block's reason never surfaces: its sweep runs again or hits the cap.
@@ -518,9 +514,10 @@ def objective_gradient(inputs, i: int) -> np.ndarray:
 def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
     """Ascend block ``i`` with the other blocks held fixed.
 
-    The returned block never lowers the objective and satisfies first-order
-    simplex stationarity within ``config.inner_tol`` unless the inner budget
-    runs out first.
+    The returned block does not lower the objective beyond float rounding
+    and satisfies first-order simplex stationarity within ``config.inner_tol``
+    unless the inner budget runs out first; its gap ``max g - g.p`` then
+    bounds what any further change of block ``i`` could add.
     """
     config = config or OptimizerConfig()
     blocks = _one_row(inputs, i)
@@ -548,7 +545,7 @@ def _conjectured_start(n: int, r: int, supports) -> list[np.ndarray]:
     base = [base[-1]] + base[:-1]
     for i, block in enumerate(base):
         free = np.arange(r + 1) if supports[i] is None else supports[i]
-        block[free] += 1e-12  # lift boundary zeros so log terms stay finite
+        block[free] += 1e-30  # lift boundary zeros so log terms stay finite
         block[free] /= block[free].sum()
     return base
 
