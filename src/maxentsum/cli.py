@@ -2,9 +2,10 @@
 
 Settings resolve in the order: command-line flag, then ``--config`` file
 (plain ``key = value`` lines), then ``MAXENT_*`` environment variables, then
-built-in defaults.  Exit codes: 0 success or clean verification, 1 a
-verification suite found violations (or a strict-conjecture sweep saw a
-positive gap), 2 usage error, 3 domain error, 4 I/O error.
+built-in defaults; a ``MAXENT_*`` variable that no subcommand reads is a usage
+error.  Exit codes: 0 success or clean verification, 1 a verification suite
+found violations (or a strict-conjecture sweep saw a positive gap), 2 usage
+error, 3 domain error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import suites
 from .bounds import SPECIAL_GENERAL, conjectured_inputs, entropy_lower_bound
 from .errors import DomainError, MaxentsumError, check_count
 from .optimize import OptimizerConfig, multistart_maximize, restricted_maximize
-from .parallel import thread_count
+from .parallel import THREADS_ENV, thread_count
 from .pmf import sum_distribution, write_pmf
 
 EXIT_OK = 0
@@ -74,6 +75,18 @@ COMMAND_SETTINGS = {
 
 class _UsageError(Exception):
     pass
+
+
+def _env_name(name: str) -> str:
+    return "MAXENT_" + name.upper().replace("-", "_")
+
+
+def _check_environment() -> None:
+    """Reject a ``MAXENT_*`` variable that no subcommand reads, such as a typo."""
+    known = {THREADS_ENV} | {_env_name(name) for name in SETTINGS}
+    unknown = sorted(key for key in os.environ if key.startswith("MAXENT_") and key not in known)
+    if unknown:
+        raise _UsageError(f"unknown environment variables: {', '.join(unknown)}")
 
 
 def _human(x: float) -> str:
@@ -130,7 +143,7 @@ class _Settings:
         if value is None and name in self.config:
             value = self._cast(cast, self.config[name], f"config key '{name}'")
         if value is None:
-            env_name = "MAXENT_" + name.upper().replace("-", "_")
+            env_name = _env_name(name)
             raw = os.environ.get(env_name)
             if raw is not None:
                 value = self._cast(cast, raw, env_name)
@@ -354,6 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_environment()
         try:
             thread_count()
         except DomainError as exc:

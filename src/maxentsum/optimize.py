@@ -23,7 +23,8 @@ the live rows or the oldest has waited ``_WAIT`` iterations; then all of them
 move on to their next blocks in one batch, which costs about as much as moving
 one row.  Every row keeps its own state and the kernels compute each row
 independently, so a start's trajectory does not depend on its batch or on
-how long it waited.
+how long it waited.  A row counts its objective evaluations as it goes, and
+its start's record is written once, when the row retires.
 
 Cyclic ascent can crawl: near the conjectured maximizer two blocks trade the
 {0, r} role and the interior role over hundreds of sweeps, each sweep moving
@@ -67,6 +68,8 @@ _ORACLE_CHUNK = 1 << 16
 #: Heads whose exact best entropy lies within this many bits of the grid
 #: maximum are evaluated in floating point.
 _ORACLE_SLACK = 1e-9
+#: Final start values closer than this count as one local value.
+_DISTINCT_TOL = 1e-8
 
 _MAX_INNER = 400
 #: While rows cycle over all blocks, a block also ends once its stationarity
@@ -154,11 +157,11 @@ class OptimizationResult:
     def converged_fraction(self) -> float:
         return sum(rec.converged for rec in self.per_start) / len(self.per_start)
 
-    def distinct_local_values(self, tol: float = 1e-8) -> list[float]:
+    def distinct_local_values(self) -> list[float]:
         """Cluster the per-start final values; exploratory landscape output."""
         distinct: list[float] = []
         for value in sorted(rec.value for rec in self.per_start):
-            if not distinct or value - distinct[-1] > tol:
+            if not distinct or value - distinct[-1] > _DISTINCT_TOL:
                 distinct.append(value)
         return distinct
 
@@ -219,13 +222,14 @@ def _ascent_terms(toeplitz: np.ndarray, sums: np.ndarray, logs: np.ndarray,
 class _Lockstep:
     """Block ascent of many rows at once; each row is a start.
 
-    Arrays hold one entry per live row and are compacted when rows finish.
+    Arrays hold one entry per live row and are compacted when rows finish;
+    a start's ``StartRecord`` is written once, when its row retires.
     Between iterations every live row is inside a block with one candidate
     step pending; ``step`` evaluates it, ``close`` ends blocks and sweeps, and
     ``enter`` starts a row's next block.  A block ends only at its ``stop``
-    gap or on a spent inner budget.  ``stop`` is ``inner_tol``, or while rows
-    cycle the larger of ``inner_tol`` and ``_GAP_CUT`` times the entry gap; a
-    sweep with a block cut short that way does not end its start.
+    gap or on a spent inner budget.  ``stop`` is the larger of ``inner_tol``
+    and ``_GAP_CUT`` times the entry gap; a sweep with a block cut short that
+    way does not end its start.
 
     A row whose block ends becomes inactive and waits with its state frozen;
     ``run`` closes and enters the blocks of all waiting rows in one ``_settle``
@@ -239,29 +243,24 @@ class _Lockstep:
     At the end of a sweep that does not end its start, ``_extrapolate`` may
     move the row along its last sweep move (see ``_XFROM``); the row then
     sweeps again from the new point, so a sweep that extrapolated never
-    settles its start.  Every active row evaluates one candidate per
-    iteration, so a row's step count is the iteration at which it retires,
-    less the iterations it waited, plus its extrapolation trials.
+    settles its start.  ``steps`` counts a row's objective evaluations: one
+    per iteration in which it is active, and one per extrapolation trial.
     """
 
     _FIELDS = (
         "ids", "blocks", "cur", "neg", "toeplitz", "p", "shift", "value", "gap", "stop", "eta",
-        "inner", "sweeps", "prev", "sweep_gap", "sweep_reason",
-        "sweep_cut", "done", "active", "since", "idle",
+        "inner", "sweeps", "prev", "sweep_gap", "sweep_cut", "done", "active", "steps",
+        "origin", "move", "jumps",
     )
 
-    def __init__(self, blocks: np.ndarray, neg: np.ndarray, config: OptimizerConfig,
-                 only_block: int | None = None):
-        """``only_block`` ascends that one block of each row and stops;
-        otherwise rows sweep all blocks from block 0 until their start ends."""
+    def __init__(self, blocks: np.ndarray, neg: np.ndarray, config: OptimizerConfig):
         count, n, m = blocks.shape
         self.config = config
-        self.only_block = only_block
         self.block_neg = neg
         self.others = _others(n)
         self.ids = np.arange(count)
         self.blocks = blocks.copy()
-        self.cur = np.full(count, only_block or 0)
+        self.cur = np.zeros(count, dtype=int)
         self.neg = np.zeros((count, m))
         self.toeplitz = np.zeros((count, n * (m - 1) + 1, m))
         self.p = np.zeros((count, m))
@@ -274,43 +273,34 @@ class _Lockstep:
         self.sweeps = np.zeros(count, dtype=int)
         self.prev = np.full(count, -math.inf)
         self.sweep_gap = np.full(count, -math.inf)
-        self.sweep_reason = np.full(count, _STATIONARY)
         self.sweep_cut = np.zeros(count, dtype=bool)
         self.done = np.zeros(count, dtype=bool)
-        # Deferred block ends: a row that is not active waits, frozen, since
-        # the iteration in ``since``; ``idle`` counts the iterations it waited.
-        self.active = np.ones(count, dtype=bool)
-        self.since = np.zeros(count, dtype=int)
-        self.idle = np.zeros(count, dtype=int)
-        self.out_blocks = np.empty_like(blocks)
-        self.out_value = np.empty(count)
-        self.out_sweeps = np.empty(count, dtype=int)
-        self.out_reason = np.empty(count, dtype=int)
-        self.out_gap = np.empty(count)
-        self.out_steps = np.zeros(count, dtype=int)  # extrapolation trials until retired
-        self.out_jumps = np.zeros(count, dtype=int)
-        # Extrapolation state, indexed by start id like the outputs, so that
-        # compaction leaves it alone: the blocks at the start of the current
-        # sweep and the last sweep move in log2 masses.
+        self.active = np.ones(count, dtype=bool)  # false while a row waits, frozen
+        self.steps = np.zeros(count, dtype=int)
+        # Extrapolation state: the blocks at the start of the current sweep
+        # and the last sweep move in log2 masses.
         self.origin = np.empty_like(blocks)
         self.move = np.zeros_like(blocks)
-        self.iteration = 0
+        self.jumps = np.zeros(count, dtype=int)
+        # Outputs, indexed by start id.
+        self.out_blocks = np.empty_like(blocks)
+        self.records: list[StartRecord | None] = [None] * count
 
     def run(self) -> "_Lockstep":
         self._settle(self.enter(self.ids))
         self._compact()
-        waiting = oldest = 0  # the waiting rows' count and the iteration the first began
+        # The waiting rows' count and the iteration at which the first began.
+        iteration = waiting = oldest = 0
         while self.ids.size:
+            iteration += 1
             ended = self.step()
             if ended.size:
                 if not waiting:
-                    oldest = self.iteration
+                    oldest = iteration
                 waiting += ended.size
                 self.active[ended] = False
-                self.since[ended] = self.iteration
-            if waiting and (2 * waiting >= self.ids.size or self.iteration - oldest >= _WAIT):
+            if waiting and (2 * waiting >= self.ids.size or iteration - oldest >= _WAIT):
                 idx = (~self.active).nonzero()[0]
-                self.idle[idx] += self.iteration - self.since[idx]
                 self.active[idx] = True
                 waiting = 0
                 self._settle(idx)
@@ -322,7 +312,7 @@ class _Lockstep:
         whose block ended.  Waiting rows compute a candidate too, which costs
         less than taking them out of the batch, but none of their state
         changes."""
-        self.iteration += 1
+        self.steps += self.active
         active = self.active[:, None]
         q = np.exp(self.eta * self.shift)
         q *= self.p
@@ -364,8 +354,7 @@ class _Lockstep:
         self.shift[idx] = shift
         self.value[idx] = entropy_rows(sums, logs)
         self.gap[idx] = gap
-        if self.only_block is None:
-            self.stop[idx] = np.maximum(_GAP_CUT * gap, self.config.inner_tol)
+        self.stop[idx] = np.maximum(_GAP_CUT * gap, self.config.inner_tol)
         self.eta[idx] = np.maximum(np.minimum(newton, 2.0), _ETA_BA)[:, None]
         self.inner[idx] = 0
         return idx[gap <= self.config.inner_tol]
@@ -373,19 +362,11 @@ class _Lockstep:
     def close(self, idx: np.ndarray) -> np.ndarray:
         """End the current block of rows ``idx``; return the rows that go on
         to another block.  Rows whose start is finished are retired."""
-        config = self.config
         cur = self.cur[idx]
         self.blocks[idx, cur] = self.p[idx]
-        stationary = self.gap[idx] <= config.inner_tol
-        reason = np.where(stationary, _STATIONARY, _INNER_BUDGET)
-        first = self.sweep_reason[idx] == _STATIONARY
-        self.sweep_reason[idx[first]] = reason[first]
-        # A cut block's reason never surfaces: its sweep runs again or hits the cap.
-        self.sweep_cut[idx] |= ~stationary & (self.gap[idx] <= self.stop[idx])
-        self.sweep_gap[idx] = np.maximum(self.sweep_gap[idx], self.gap[idx])
-        if self.only_block is not None:
-            self._retire(idx)
-            return idx[:0]
+        gap = self.gap[idx]
+        self.sweep_cut[idx] |= (gap > self.config.inner_tol) & (gap <= self.stop[idx])
+        self.sweep_gap[idx] = np.maximum(self.sweep_gap[idx], gap)
         cur = cur + 1
         wrapped = cur == self.blocks.shape[1]
         self.cur[idx] = np.where(wrapped, 0, cur)
@@ -401,16 +382,14 @@ class _Lockstep:
         swept = self.sweeps[ends]
         settled = (self.value[ends] - self.prev[ends] < config.outer_tol) & ~self.sweep_cut[ends]
         capped = ~settled & (swept >= config.max_outer_sweeps)
-        self.sweep_reason[ends[capped]] = _MAX_SWEEPS
-        self._retire(ends[settled | capped])
         keep = ~(settled | capped)
+        self._retire(ends[~keep], capped[~keep])
         again = ends[keep]
         late = again[swept[keep] >= _XFROM - 1]
         if late.size:
             self._extrapolate(late)
         self.prev[again] = self.value[again]
         self.sweep_gap[again] = -math.inf
-        self.sweep_reason[again] = _STATIONARY
         self.sweep_cut[again] = False
 
     def _settle(self, ended: np.ndarray) -> None:
@@ -428,17 +407,15 @@ class _Lockstep:
         keeps the best while H(S_n) rises.  A candidate with a free mass at
         or below ``ZERO_FLOOR`` is never better: zero is absorbing under the
         block update.  Pinned masses are 0 in ``y`` and stay 0."""
-        ids = self.ids[idx]
-        measured = self.sweeps[idx] >= _XFROM
-        rows, mids = idx[measured], ids[measured]
-        move = log2_rows(self.blocks[rows]) - log2_rows(self.origin[mids])
-        last, self.move[mids] = self.move[mids], move
+        rows = idx[self.sweeps[idx] >= _XFROM]
+        move = log2_rows(self.blocks[rows]) - log2_rows(self.origin[rows])
+        last, self.move[rows] = self.move[rows], move
         shape = (rows.size, self.blocks[0].size)
         flat, flat_last = move.reshape(shape), last.reshape(shape)
         dot = np.add.reduce(flat * flat_last, axis=1)
         squares = np.add.reduce(flat * flat, axis=1) * np.add.reduce(flat_last * flat_last, axis=1)
         aligned = dot > _ALIGN * np.sqrt(squares)  # never on the first move, whose last is 0
-        rows, mids, move = rows[aligned], mids[aligned], move[aligned]
+        rows, move = rows[aligned], move[aligned]
         y = self.blocks[rows]
         best = self.value[rows]
         pinned = self.block_neg < 0.0
@@ -450,25 +427,33 @@ class _Lockstep:
             q /= np.add.reduce(q, axis=2, keepdims=True)
             sums = fold_rows(q)
             value = entropy_rows(sums, log2_rows(sums))
-            self.out_steps[mids[live]] += 1
+            self.steps[rows[live]] += 1
             better = (value > best[live]) & ~((q <= ZERO_FLOOR) & ~pinned).any(axis=(1, 2))
             live = live[better]
             self.blocks[rows[live]] = q[better]
             best[live] = value[better]
             t *= 2.0
-        self.out_jumps[mids] += best > self.value[rows]
+        self.jumps[rows] += best > self.value[rows]
         self.value[rows] = best
-        self.origin[ids] = self.blocks[idx]
+        self.origin[idx] = self.blocks[idx]
 
-    def _retire(self, idx: np.ndarray) -> None:
+    def _retire(self, idx: np.ndarray, capped: np.ndarray) -> None:
+        """Record the starts of rows ``idx``; ``capped`` marks those that hit
+        the sweep cap without settling."""
         ids = self.ids[idx]
         self.out_blocks[ids] = self.blocks[idx]
-        self.out_value[ids] = self.value[idx]
-        self.out_sweeps[ids] = self.sweeps[idx]
-        self.out_reason[ids] = self.sweep_reason[idx]
-        self.out_gap[ids] = self.sweep_gap[idx]
-        self.out_steps[ids] += self.iteration - self.idle[idx]
         self.done[idx] = True
+        gaps = self.sweep_gap[idx]
+        reasons = np.where(capped, _MAX_SWEEPS,
+                           np.where(gaps <= self.config.inner_tol, _STATIONARY, _INNER_BUDGET))
+        for sid, value, sweeps, gap, steps, jumps, reason in zip(
+            ids.tolist(), self.value[idx].tolist(), self.sweeps[idx].tolist(), gaps.tolist(),
+            self.steps[idx].tolist(), self.jumps[idx].tolist(), reasons.tolist(),
+        ):
+            self.records[sid] = StartRecord(
+                start_id=sid, value=value, sweeps=sweeps, converged=reason == _STATIONARY,
+                reason=REASONS[reason], gap=gap, steps=steps, jumps=jumps,
+            )
 
     def _compact(self) -> None:
         if self.done.any():
@@ -522,8 +507,13 @@ def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
     config = config or OptimizerConfig()
     blocks = _one_row(inputs, i)
     n, m = blocks.shape[1:]
-    run = _Lockstep(blocks, np.zeros((n, m)), config, only_block=i).run()
-    return _finalize(run.out_blocks[0, i].copy(), "block_ascend")
+    run = _Lockstep(blocks, np.zeros((n, m)), config)
+    run.cur[0] = i
+    if not run.enter(run.ids).size:
+        run.stop[0] = config.inner_tol
+        while not run.step().size:
+            pass
+    return _finalize(run.p[0].copy(), "block_ascend")
 
 
 def _random_start(n: int, r: int, supports, seed: int, start_id: int) -> list[np.ndarray]:
@@ -564,15 +554,8 @@ def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> Optimization
     # All starts are rows of one lockstep, so there is one job; the call stays
     # as the place where a benchmark may pause its clock between optimizer calls.
     (out,) = ordered_map(run, [list(range(config.starts + config.include_conjectured_start))])
-    per_start = tuple(
-        StartRecord(start_id=sid, value=value, sweeps=sweeps, converged=reason == _STATIONARY,
-                    reason=REASONS[reason], gap=gap, steps=steps, jumps=jumps)
-        for sid, (value, sweeps, reason, gap, steps, jumps) in enumerate(zip(
-            out.out_value.tolist(), out.out_sweeps.tolist(), out.out_reason.tolist(),
-            out.out_gap.tolist(), out.out_steps.tolist(), out.out_jumps.tolist(),
-        ))
-    )
-    best = int(np.argmax(out.out_value))  # the first maximum: ties go to the lowest start id
+    per_start = tuple(out.records)
+    best = int(np.argmax([rec.value for rec in per_start]))  # ties go to the lowest start id
     return OptimizationResult(
         best_inputs=tuple(_finalize(b.copy(), "optimizer block") for b in out.out_blocks[best]),
         best_value=per_start[best].value,
@@ -629,11 +612,6 @@ def _grid_counts(resolution: int, r: int) -> np.ndarray:
 
     fill(out, resolution)
     return out
-
-
-def _batch_entropy_max(batch: np.ndarray) -> float:
-    # Adding 0.0 turns the -0.0 of an all-point-mass batch into +0.0.
-    return float((-(batch * log2_rows(batch)).sum(axis=1)).max()) + 0.0
 
 
 def _near_best_heads(counts: np.ndarray, n: int, slack: float) -> np.ndarray:
@@ -710,7 +688,8 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     counts = _grid_counts(resolution, r)
     grid = counts / resolution
     if n == 1:
-        return _batch_entropy_max(grid)
+        # Adding 0.0 turns the -0.0 of an all-point-mass grid into +0.0.
+        return float(entropy_rows(grid, log2_rows(grid)).max()) + 0.0
     # Float values lie within about 1e-14 bits of the exact entropies, far
     # inside the screen's slack, so the head that holds the float maximum over
     # all heads passes the screen, and the result is that maximum.
@@ -720,5 +699,5 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
         for idx in head[1:]:
             partial = np.convolve(partial, grid[idx])
         sums = conv_rows(partial[None, :], grid[head[-1] :])
-        best = max(best, _batch_entropy_max(sums))
+        best = max(best, float(entropy_rows(sums, log2_rows(sums)).max()) + 0.0)
     return best

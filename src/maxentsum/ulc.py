@@ -22,6 +22,8 @@ from .pmf import Pmf, PmfLike, as_pmf, residue_decompose, sum_distribution
 SLACK_COEFF = 1e-12
 #: The sign lemma needs factors whose every mass exceeds this.
 STRICTNESS = 1e-9
+#: ``random_ulc_sequences`` draws this many Dirichlet candidates per sequence.
+_REJECTION_FACTOR = 4
 
 
 def _nonneg_array(u) -> np.ndarray:
@@ -362,9 +364,7 @@ def convolve_bernoulli_preserves(u, order: int, q: float) -> bool:
     return is_ulc_order(conv, order + 1)
 
 
-def random_ulc_sequences(
-    order: int, count: int, rng: np.random.Generator, rejection_factor: int = 4
-) -> np.ndarray:
+def random_ulc_sequences(order: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` ULC(order) probability vectors of length order + 1.
 
     Rejection from flat Dirichlet draws, topped up by a ratio construction
@@ -374,7 +374,7 @@ def random_ulc_sequences(
     check_count("order", order, 1)
     check_count("count", count, 1)
     length = order + 1
-    draws = rng.dirichlet(np.ones(length), size=rejection_factor * count)
+    draws = rng.dirichlet(np.ones(length), size=_REJECTION_FACTOR * count)
     margins = ulc_order_margins(draws, order)
     ok = margins.min(axis=1) >= -_slack(draws) if margins.size else np.ones(len(draws), bool)
     kept = draws[ok][:count]

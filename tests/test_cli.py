@@ -461,3 +461,16 @@ class TestSettingsPrecedence:
         monkeypatch.setenv("MAXENT_R", "banana")
         code, _, err = run(capsys, "bound", "--n", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["MAXENT_STRATS", "MAXENT_CONFIG"])
+    def test_unknown_env_variable_is_usage_error(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "128")
+        code, out, err = run(capsys, "optimize", "--n", "2", "--r", "2", "--starts", "1")
+        assert code == 2 and out == ""
+        assert name in err
+
+    def test_env_setting_of_another_subcommand_is_allowed(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXENT_SEED", "7")  # read by optimize, sweep and verify
+        code, out, _ = run(capsys, "bound", "--n", "1", "--r", "3")
+        assert code == 0
+        assert "bound_bits = 2\n" in out

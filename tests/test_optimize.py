@@ -211,6 +211,12 @@ class TestConvergenceFlag:
         assert {rec.reason for rec in result.per_start} == {"max_outer_sweeps"}
         assert all(rec.sweeps == 1 for rec in result.per_start)
 
+    def test_settling_on_the_last_allowed_sweep_is_converged(self):
+        free = multistart_maximize(2, 2, OptimizerConfig(starts=3, seed=0)).per_start[0]
+        capped = multistart_maximize(
+            2, 2, OptimizerConfig(starts=3, seed=0, max_outer_sweeps=free.sweeps)).per_start[0]
+        assert free.converged and capped == free
+
     def test_reason_matches_flag(self):
         config = OptimizerConfig(starts=6, seed=3)
         result = multistart_maximize(3, 2, config)
@@ -413,6 +419,31 @@ class TestLockstepDeterminism:
         assert [rec.start_id for rec in result.per_start] == list(range(6))
 
 
+class TestPinnedOutput:
+    # First 12 hex digits of the sha256 of the sorted-key ``as_dict()`` JSON:
+    # the default path, with the gap cut, deferred block ends and extrapolation.
+    @pytest.mark.parametrize("n, r, ell, starts, seed, digest", [
+        pytest.param(2, 4, None, 32, 1, "c4028e503d62", id="2-4"),
+        pytest.param(3, 4, None, 32, 401, "faafe1720d5c", id="3-4"),
+        pytest.param(4, 3, 2, 16, 5, "3bf388a6bf91", id="restricted-4-3-2"),
+    ])
+    def test_default_path_is_pinned(self, n, r, ell, starts, seed, digest):
+        payload = json.dumps(_run_cell(n, r, ell, starts, seed).as_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest()[:12] == digest
+
+    def test_every_per_row_array_is_compacted(self):
+        # Compaction filters exactly the arrays in ``_FIELDS``; a per-row array
+        # left out of it would silently fall out of step with the live rows.
+        n, r, rows = 3, 4, 7
+        supports = [None] * n
+        blocks = np.array([optimize._random_start(n, r, supports, 0, sid) for sid in range(rows)])
+        run = optimize._Lockstep(blocks, optimize._free_neg(supports, n, r + 1), OptimizerConfig())
+        per_row = {name for name, value in vars(run).items()
+                   if isinstance(value, np.ndarray) and value.ndim and len(value) == rows}
+        by_start_id = {"out_blocks"}
+        assert per_row - by_start_id == set(optimize._Lockstep._FIELDS)
+
+
 class TestDeferredBlockEnds:
     @pytest.mark.parametrize("n, r, ell, seed", [
         pytest.param(2, 4, None, 1, id="2-4"),
@@ -462,18 +493,23 @@ class TestRestricted:
             restricted_maximize(3, 2, 4)
 
 
+def entropy_max(batch):
+    """Largest row entropy in bits; +0.0, not -0.0, for a batch of point masses."""
+    return float((-(batch * np.log2(np.maximum(batch, ZERO_FLOOR))).sum(axis=1)).max()) + 0.0
+
+
 def per_head_oracle(n, r, k):
     """The grid oracle evaluated in floating point at every sorted head."""
     grid = optimize._grid_counts(k, r) / k
     if n == 1:
-        return optimize._batch_entropy_max(grid)
+        return entropy_max(grid)
     best = -math.inf
     for head in itertools.combinations_with_replacement(range(len(grid)), n - 1):
         partial = grid[head[0]]
         for idx in head[1:]:
             partial = np.convolve(partial, grid[idx])
         sums = conv_rows(partial[None, :], grid[head[-1] :])
-        best = max(best, optimize._batch_entropy_max(sums))
+        best = max(best, entropy_max(sums))
     return best
 
 
