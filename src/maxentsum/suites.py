@@ -32,6 +32,8 @@ from .ulc import (
 )
 
 CHUNK_SIZE = 4096
+#: ``preserve_suite`` draws its ULC orders from 1 to this.
+PRESERVE_MAX_ORDER = 8
 
 
 @dataclass
@@ -229,20 +231,19 @@ def sign_suite(trials: int, seed: int = 0) -> SuiteReport:
     return _run("sign", trials, seed, params, work, {"strict_hypothesis_count": sum})
 
 
-def preserve_suite(trials: int, seed: int = 0, max_order: int = 8) -> SuiteReport:
+def preserve_suite(trials: int, seed: int = 0) -> SuiteReport:
     """Bernoulli convolution preserves ultra-log-concavity, order bumped by one.
 
-    Per trial: a random ULC(m) sequence with m drawn from 1..max_order and a
-    random Bernoulli weight; the convolution must pass at order m + 1.
+    Per trial: a random ULC(m) sequence with m drawn from 1..PRESERVE_MAX_ORDER
+    and a random Bernoulli weight; the convolution must pass at order m + 1.
     """
-    check_count("max_order", max_order, 1)
 
     def work(rng: np.random.Generator, offset: int, size: int):
-        orders = rng.integers(1, max_order + 1, size=size)
+        orders = rng.integers(1, PRESERVE_MAX_ORDER + 1, size=size)
         weights = rng.uniform(0.0, 1.0, size=size)
         violations: list[dict] = []
         worst = math.inf
-        for order in range(1, max_order + 1):
+        for order in range(1, PRESERVE_MAX_ORDER + 1):
             rows = np.flatnonzero(orders == order)
             if rows.size == 0:
                 continue
@@ -266,7 +267,7 @@ def preserve_suite(trials: int, seed: int = 0, max_order: int = 8) -> SuiteRepor
                 )
         return violations, {"min_margin": worst}
 
-    return _run("preserve", trials, seed, {"max_order": max_order}, work, {"min_margin": min})
+    return _run("preserve", trials, seed, {"max_order": PRESERVE_MAX_ORDER}, work, {"min_margin": min})
 
 
 def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> SuiteReport:

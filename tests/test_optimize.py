@@ -1,5 +1,6 @@
 """Block-ascent maximizer, gradients, grid oracle, determinism."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -55,22 +56,19 @@ def tangent_directional_fd(inputs, i, a, b, h=1e-6):
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == ["starts", "seed", "outer_tol"]
         assert cfg.starts == 64
-        assert cfg.max_outer_sweeps == 10_000
         assert cfg.outer_tol == 1e-12
-        assert cfg.include_conjectured_start
+        assert (optimize.INNER_TOL, optimize.MAX_OUTER_SWEEPS) == (1e-10, 10_000)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"starts": 0},
-            {"inner_tol": 0.0},
             {"outer_tol": -1.0},
-            {"max_outer_sweeps": 0},
             {"starts": 2.5},
             {"seed": -1},
             {"seed": 1.5},
-            {"max_outer_sweeps": 2.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -142,7 +140,7 @@ class TestBlockAscend:
         fixed = Pmf([0.29796, 0.04201, 0.32006, 0.04201, 0.29796])
         out = block_ascend([fixed, [0.28959, 0.2104, 1.8e-05, 0.2104, 0.289592]], 1)
         grad = objective_gradient([fixed, out], 1)
-        assert grad.max() - grad @ out.probs <= OptimizerConfig().inner_tol
+        assert grad.max() - grad @ out.probs <= optimize.INNER_TOL
 
 
 class TestMultistart:
@@ -182,12 +180,6 @@ class TestMultistart:
             result = multistart_maximize(n, r, cfg)
             assert result.gap_to_bound >= -1e-9
 
-    def test_without_conjectured_start(self):
-        cfg = OptimizerConfig(starts=4, seed=2, include_conjectured_start=False)
-        result = multistart_maximize(2, 1, cfg)
-        assert len(result.per_start) == 4
-        assert result.best_value == pytest.approx(1.5, abs=1e-7)
-
     @pytest.mark.parametrize("n, r", [(3, 4), (6, 6)])
     def test_conjectured_start_lands_on_the_bound(self, n, r):
         rec = multistart_maximize(n, r, OptimizerConfig(starts=1, seed=0)).per_start[-1]
@@ -205,16 +197,17 @@ class TestConvergenceFlag:
         assert result.converged_fraction() < 1
         assert "inner_budget" in {rec.reason for rec in result.per_start}
 
-    def test_sweep_cap_is_not_converged(self):
-        result = multistart_maximize(2, 2, OptimizerConfig(starts=3, seed=0, max_outer_sweeps=1))
+    def test_sweep_cap_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_OUTER_SWEEPS", 1)
+        result = multistart_maximize(2, 2, OptimizerConfig(starts=3, seed=0))
         assert result.converged_fraction() == 0.0
         assert {rec.reason for rec in result.per_start} == {"max_outer_sweeps"}
         assert all(rec.sweeps == 1 for rec in result.per_start)
 
-    def test_settling_on_the_last_allowed_sweep_is_converged(self):
+    def test_settling_on_the_last_allowed_sweep_is_converged(self, monkeypatch):
         free = multistart_maximize(2, 2, OptimizerConfig(starts=3, seed=0)).per_start[0]
-        capped = multistart_maximize(
-            2, 2, OptimizerConfig(starts=3, seed=0, max_outer_sweeps=free.sweeps)).per_start[0]
+        monkeypatch.setattr(optimize, "MAX_OUTER_SWEEPS", free.sweeps)
+        capped = multistart_maximize(2, 2, OptimizerConfig(starts=3, seed=0)).per_start[0]
         assert free.converged and capped == free
 
     def test_reason_matches_flag(self):
@@ -224,7 +217,7 @@ class TestConvergenceFlag:
             assert rec.converged == (rec.reason == "stationary")
             assert rec.reason in optimize.REASONS
             assert math.isfinite(rec.gap)
-            assert not rec.converged or rec.gap <= config.inner_tol
+            assert not rec.converged or rec.gap <= optimize.INNER_TOL
 
 
 #: Calls shared by the inexact-block tests: ``(n, r, ell, starts, seed)``.
@@ -258,7 +251,7 @@ class TestInexactBlocks:
         original = optimize._Lockstep.close
 
         def close(run, idx):
-            exact = run.gap[idx] <= run.config.inner_tol
+            exact = run.gap[idx] <= optimize.INNER_TOL
             exact |= run.inner[idx] >= optimize._MAX_INNER
             flags.extend(~exact)
             return original(run, idx)
@@ -301,8 +294,8 @@ class TestInexactBlocks:
                 assert rec.converged == (rec.reason == "stationary")
 
 
-#: The (2,4) start that crawls along a ridge: 214 sweeps without extrapolation.
-RIDGE = dict(starts=1, seed=201, include_conjectured_start=False)
+#: Start 0 of this (2,4) call crawls along a ridge: 214 sweeps without extrapolation.
+RIDGE = dict(starts=1, seed=201)
 
 
 def _plain_digest(result):
@@ -355,11 +348,11 @@ class TestExtrapolation:
         pytest.param(3, 2, dict(starts=6, seed=3),
                      "8c852404af1e6ae7b1003b9eba3c6192c49476887deed4260d20796831ef81b4", id="3-2"),
         pytest.param(2, 4, RIDGE,
-                     "f288e3e2f56964a0c025e33654e4a461ad7658068e25edb68baa35900d4c4957", id="2-4-ridge"),
+                     "4359fb165c3b21f70acfebbb4d07645cebf987c546bb326d6e3b53b7997f1ace", id="2-4-ridge"),
     ])
     def test_gate_past_the_sweep_cap_gives_plain_ascent(self, monkeypatch, n, r, config, digest):
         config = OptimizerConfig(**config)
-        monkeypatch.setattr(optimize, "_XFROM", config.max_outer_sweeps + 1)
+        monkeypatch.setattr(optimize, "_XFROM", optimize.MAX_OUTER_SWEEPS + 1)
         result = multistart_maximize(n, r, config)
         assert all(rec.jumps == 0 for rec in result.per_start)
         assert _plain_digest(result) == digest
@@ -373,10 +366,8 @@ class TestLockstepDeterminism:
         pytest.param(2, 4, 201, id="2-4-seed201"),  # start 0 extrapolates along a ridge
     ])
     def test_start_does_not_depend_on_its_batch(self, n, r, seed):
-        alone = multistart_maximize(
-            n, r, OptimizerConfig(starts=1, seed=seed, include_conjectured_start=False))
-        batched = multistart_maximize(
-            n, r, OptimizerConfig(starts=8, seed=seed, include_conjectured_start=False))
+        alone = multistart_maximize(n, r, OptimizerConfig(starts=1, seed=seed))
+        batched = multistart_maximize(n, r, OptimizerConfig(starts=8, seed=seed))
         a, b = alone.per_start[0], batched.per_start[0]
         assert (a.value, a.sweeps, a.converged) == (b.value, b.sweeps, b.converged)
         assert (a.steps, a.jumps) == (b.steps, b.jumps)
@@ -391,8 +382,8 @@ class TestLockstepDeterminism:
 
     def test_records_do_not_depend_on_the_start_count(self):
         def records(starts):
-            cfg = OptimizerConfig(starts=starts, seed=5, include_conjectured_start=False)
-            return multistart_maximize(2, 3, cfg).per_start
+            cfg = OptimizerConfig(starts=starts, seed=5)
+            return multistart_maximize(2, 3, cfg).per_start[:-1]  # the random starts
 
         assert records(200)[:130] == records(130)
 
@@ -437,7 +428,7 @@ class TestPinnedOutput:
         n, r, rows = 3, 4, 7
         supports = [None] * n
         blocks = np.array([optimize._random_start(n, r, supports, 0, sid) for sid in range(rows)])
-        run = optimize._Lockstep(blocks, optimize._free_neg(supports, n, r + 1), OptimizerConfig())
+        run = optimize._Lockstep(blocks, optimize._free_neg(supports, n, r + 1), 1e-12)
         per_row = {name for name, value in vars(run).items()
                    if isinstance(value, np.ndarray) and value.ndim and len(value) == rows}
         by_start_id = {"out_blocks"}

@@ -40,6 +40,7 @@ class TestSuitesPass:
     def test_preserve(self):
         report = preserve_suite(trials=3000, seed=11)
         assert report.passed
+        assert report.params == {"max_order": 8}
         assert report.stats["min_margin"] > -1e-15
 
     def test_decomposition_random_moduli(self):
@@ -74,7 +75,6 @@ class TestSuitesPass:
             (lambda: decomposition_suite(4, 0, r=2.0), "r"),
             (lambda: ulc_suite(True, 2, 10), "n"),
             (lambda: ulc_suite(2, 2.0, 10), "r"),
-            (lambda: preserve_suite(10, max_order=2.0), "max_order"),
             (lambda: identity_suite(10.0), "trials"),
             (lambda: sign_suite(True), "trials"),
             (lambda: Pmf.uniform(True), "m"),
@@ -84,7 +84,7 @@ class TestSuitesPass:
         ],
         ids=[
             "decomposition-r-bool", "decomposition-r-float", "ulc-n-bool", "ulc-r-float",
-            "preserve-max_order-float", "identity-trials-float", "sign-trials-bool",
+            "identity-trials-float", "sign-trials-bool",
             "uniform-bool", "uniform-float", "point_mass-bool", "point_mass-m-float",
         ],
     )
