@@ -29,9 +29,8 @@ its start's record is written once, when the row retires.
 Cyclic ascent can crawl: near the conjectured maximizer two blocks trade the
 {0, r} role and the interior role over hundreds of sweeps, each sweep moving
 the masses a little further the same way.  A start that has swept long enough
-therefore extrapolates along its sweep move once two successive moves point
-the same way, as SQUAREM and accelerated Blahut-Arimoto do for their
-fixed-point maps.
+therefore extrapolates along its sweep move at the end of each sweep, as
+SQUAREM and accelerated Blahut-Arimoto do for their fixed-point maps.
 """
 
 from __future__ import annotations
@@ -83,12 +82,10 @@ _MAX_INNER = 400
 #: stationary, so its sweep cannot end the start; solving a block exactly while
 #: the other blocks are still far from a fixed point is wasted work.
 _GAP_CUT = 0.1
-#: A start's sweep moves are measured from its sweep ``_XFROM`` on; at the end
-#: of a later sweep whose move has cosine above ``_ALIGN`` with the move
-#: before, the start extrapolates along it.  Few starts sweep that long, so
-#: the others pay nothing.
+#: From its sweep ``_XFROM`` on, a start extrapolates along its sweep move at
+#: the end of every sweep that does not settle it.  Few starts sweep that
+#: long, so the others pay nothing.
 _XFROM = 16
-_ALIGN = 0.99
 #: A row whose block ends waits, frozen, until the waiting rows are at least
 #: half of the live rows or the oldest has waited this many iterations: one
 #: batched block transition costs about as much as the transition of one row.
@@ -255,7 +252,7 @@ class _Lockstep:
     _FIELDS = (
         "ids", "blocks", "cur", "neg", "toeplitz", "p", "shift", "value", "gap", "stop", "eta",
         "inner", "sweeps", "prev", "sweep_gap", "sweep_cut", "done", "active", "steps",
-        "origin", "move", "jumps",
+        "origin", "jumps",
     )
 
     def __init__(self, blocks: np.ndarray, neg: np.ndarray, outer_tol: float):
@@ -282,10 +279,8 @@ class _Lockstep:
         self.done = np.zeros(count, dtype=bool)
         self.active = np.ones(count, dtype=bool)  # false while a row waits, frozen
         self.steps = np.zeros(count, dtype=int)
-        # Extrapolation state: the blocks at the start of the current sweep
-        # and the last sweep move in log2 masses.
+        # The blocks at the start of the current sweep, from sweep _XFROM on.
         self.origin = np.empty_like(blocks)
-        self.move = np.zeros_like(blocks)
         self.jumps = np.zeros(count, dtype=int)
         # Outputs, indexed by start id.
         self.out_blocks = np.empty_like(blocks)
@@ -405,21 +400,13 @@ class _Lockstep:
         start and have swept at least ``_XFROM - 1`` times.
 
         From sweep ``_XFROM`` on, a row's sweep move ``d`` is the change of
-        its log2 masses over the sweep.  Where ``d`` has cosine above
-        ``_ALIGN`` with the previous move, the row tries the blocks
+        its log2 masses over the sweep.  The row tries the blocks
         ``y * 2^(t d)``, renormalized per block, for t = 1, 2, 4, ... and
         keeps the best while H(S_n) rises.  A candidate with a free mass at
         or below ``ZERO_FLOOR`` is never better: zero is absorbing under the
         block update.  Pinned masses are 0 in ``y`` and stay 0."""
         rows = idx[self.sweeps[idx] >= _XFROM]
         move = log2_rows(self.blocks[rows]) - log2_rows(self.origin[rows])
-        last, self.move[rows] = self.move[rows], move
-        shape = (rows.size, self.blocks[0].size)
-        flat, flat_last = move.reshape(shape), last.reshape(shape)
-        dot = np.add.reduce(flat * flat_last, axis=1)
-        squares = np.add.reduce(flat * flat, axis=1) * np.add.reduce(flat_last * flat_last, axis=1)
-        aligned = dot > _ALIGN * np.sqrt(squares)  # never on the first move, whose last is 0
-        rows, move = rows[aligned], move[aligned]
         y = self.blocks[rows]
         best = self.value[rows]
         pinned = self.block_neg < 0.0
