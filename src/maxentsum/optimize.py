@@ -113,8 +113,8 @@ class OptimizerConfig:
     def __post_init__(self):
         check_count("starts", self.starts, 1)
         check_count("seed", self.seed, 0)
-        if not self.outer_tol > 0.0:
-            raise DomainError("tolerances must be positive")
+        if not (math.isfinite(self.outer_tol) and self.outer_tol > 0.0):
+            raise DomainError(f"outer_tol must be a finite number > 0, got {self.outer_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -559,6 +559,8 @@ def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> Optimization
 def multistart_maximize(n: int, r: int, config: OptimizerConfig | None = None) -> OptimizationResult:
     """Maximize H(S_n) over all n-tuples of pmfs on {0, ..., r}.
 
+    Runs ``config.starts`` seeded random starts and, as start id
+    ``config.starts``, the conjectured construction.
     Deterministic given (config.seed, n, r): every start derives its own
     generator from the seed and its start index, runs as its own row of the
     lockstep arrays, and ties for the best value go to the lowest start id.

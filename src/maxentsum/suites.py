@@ -20,10 +20,10 @@ from .kernels import conv_rows, fold_rows, seeded_rng
 from .parallel import ordered_map
 from .pmf import Pmf, _entropy_bits, convolve, mixture, residue_decompose
 from .ulc import (
-    SLACK_COEFF,
     STRICTNESS,
     _even_class_expansion,
     _odd_class_expansion,
+    _slack,
     certificate_sides,
     random_ulc_sequences,
     sign_lemma_rows,
@@ -114,7 +114,7 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
             row_min = margins.min(axis=1)
             if positive.any():
                 worst = min(worst, float(row_min[positive].min()))
-            tol = SLACK_COEFF * cond.max(axis=1) ** 2
+            tol = _slack(cond)
             bad = positive & (row_min < -tol)
             for t in np.flatnonzero(bad):
                 violations.append(
@@ -253,7 +253,7 @@ def preserve_suite(trials: int, seed: int = 0) -> SuiteReport:
             margins = ulc_order_margins(conv, order + 1)
             row_min = margins.min(axis=1)
             worst = min(worst, float(row_min.min()))
-            tol = SLACK_COEFF * conv.max(axis=1) ** 2
+            tol = _slack(conv)
             for t in np.flatnonzero(row_min < -tol):
                 violations.append(
                     {
@@ -267,7 +267,8 @@ def preserve_suite(trials: int, seed: int = 0) -> SuiteReport:
                 )
         return violations, {"min_margin": worst}
 
-    return _run("preserve", trials, seed, {"max_order": PRESERVE_MAX_ORDER}, work, {"min_margin": min})
+    params = {"max_order": PRESERVE_MAX_ORDER}
+    return _run("preserve", trials, seed, params, work, {"min_margin": min})
 
 
 def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> SuiteReport:

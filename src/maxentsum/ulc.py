@@ -35,6 +35,14 @@ def _nonneg_array(u) -> np.ndarray:
     return arr
 
 
+def _sequence(u, caller: str) -> np.ndarray:
+    """``u`` as a checked array; ``caller`` takes exactly one sequence."""
+    arr = _nonneg_array(u)
+    if arr.ndim != 1:
+        raise DomainError(f"{caller} takes a single sequence")
+    return arr
+
+
 def _slack(arr: np.ndarray) -> np.ndarray | float:
     return SLACK_COEFF * arr.max(axis=-1) ** 2
 
@@ -79,25 +87,19 @@ def _passes(margins: np.ndarray, arr: np.ndarray) -> bool:
 
 def is_log_concave(u) -> bool:
     """Literal check of u_i^2 >= u_{i-1} u_{i+1}, zeros included."""
-    arr = _nonneg_array(u)
-    if arr.ndim != 1:
-        raise DomainError("is_log_concave takes a single sequence")
+    arr = _sequence(u, "is_log_concave")
     return _passes(log_concavity_margins(arr), arr)
 
 
 def is_ulc_infinite(u) -> bool:
     """True iff (u_i * i!) is log-concave, i.e. i u_i^2 >= (i+1) u_{i-1} u_{i+1}."""
-    arr = _nonneg_array(u)
-    if arr.ndim != 1:
-        raise DomainError("is_ulc_infinite takes a single sequence")
+    arr = _sequence(u, "is_ulc_infinite")
     return _passes(ulc_inf_margins(arr), arr)
 
 
 def is_ulc_order(u, order: int) -> bool:
     """True iff (u_i / C(order, i)) is log-concave; Binomial(order, p) sits on equality."""
-    arr = _nonneg_array(u)
-    if arr.ndim != 1:
-        raise DomainError("is_ulc_order takes a single sequence")
+    arr = _sequence(u, "is_ulc_order")
     return _passes(ulc_order_margins(arr, order), arr)
 
 
@@ -108,9 +110,7 @@ def has_internal_zeros(u) -> bool:
     of the neighbouring inequalities to 0, so a pass there is vacuous; callers
     can use this flag to tell the two situations apart.
     """
-    arr = _nonneg_array(u)
-    if arr.ndim != 1:
-        raise DomainError("has_internal_zeros takes a single sequence")
+    arr = _sequence(u, "has_internal_zeros")
     positive = np.flatnonzero(arr > 0.0)
     if positive.size < 2:
         return False
@@ -354,7 +354,7 @@ def convolve_bernoulli_preserves(u, order: int, q: float) -> bool:
     value is the order ``order + 1`` verdict for the convolution, expected to
     be True always.
     """
-    arr = _nonneg_array(u)
+    arr = _sequence(u, "convolve_bernoulli_preserves")
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"Bernoulli weight must lie in [0, 1], got {q!r}")

@@ -91,6 +91,14 @@ class TestExitCodes:
         assert code == 3
         assert "--tol" in err and out == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_optimize_tol_must_be_finite_and_positive(self, capsys, tol):
+        code, out, err = run(
+            capsys, "optimize", "--n", "1", "--r", "1", "--starts", "1", "--tol", tol,
+        )
+        assert code == 3
+        assert "outer_tol" in err and out == ""
+
     @pytest.mark.parametrize("argv, name", [
         (("sweep", "--n-max", "0", "--r-max", "1"), "--n-max"),
         (("sweep", "--n-max", "1", "--r-max", "0"), "--r-max"),

@@ -65,15 +65,23 @@ class TestOptimizerConfig:
         "kwargs",
         [
             {"starts": 0},
+            {"outer_tol": 0.0},
             {"outer_tol": -1.0},
+            {"outer_tol": math.inf},
             {"starts": 2.5},
             {"seed": -1},
             {"seed": 1.5},
+            {"outer_tol": math.nan},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_outer_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(DomainError, match=r"^outer_tol must be a finite number > 0, got "):
+            OptimizerConfig(outer_tol=tol)
 
 
 class TestObjectiveGradient:
@@ -179,6 +187,12 @@ class TestMultistart:
             cfg = OptimizerConfig(starts=2, seed=1)
             result = multistart_maximize(n, r, cfg)
             assert result.gap_to_bound >= -1e-9
+
+    def test_without_conjectured_start(self):
+        result = multistart_maximize(2, 1, OptimizerConfig(starts=4, seed=2))
+        random_starts = result.per_start[:-1]
+        assert [rec.start_id for rec in random_starts] == [0, 1, 2, 3]
+        assert max(rec.value for rec in random_starts) == pytest.approx(1.5, abs=1e-7)
 
     @pytest.mark.parametrize("n, r", [(3, 4), (6, 6)])
     def test_conjectured_start_lands_on_the_bound(self, n, r):

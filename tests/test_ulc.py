@@ -319,6 +319,20 @@ class TestConvolveBernoulliPreserves:
             convolve_bernoulli_preserves(binomial_masses(3), 3, 1.5)
 
 
+@pytest.mark.parametrize("check, args", [
+    pytest.param(check, args, id=check.__name__) for check, args in (
+        (is_log_concave, ()),
+        (is_ulc_infinite, ()),
+        (is_ulc_order, (1,)),
+        (has_internal_zeros, ()),
+        (convolve_bernoulli_preserves, (1, 0.5)),
+    )
+])
+def test_single_sequence_checks_name_themselves(check, args):
+    with pytest.raises(DomainError, match=rf"^{check.__name__} takes a single sequence$"):
+        check([[0.5, 0.5]], *args)
+
+
 class TestRandomUlcSequences:
     def test_outputs_are_valid(self):
         rng = np.random.default_rng(42)
