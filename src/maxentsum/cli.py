@@ -129,6 +129,8 @@ class _Settings:
             self.config = _load_config(args.config) if args.config else {}
         except OSError as exc:
             raise _UsageError(f"cannot read config file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"config file {args.config!r} is not UTF-8 text: {exc}") from exc
         unknown = [key for key in self.config if key not in COMMAND_SETTINGS[args.command]]
         if unknown:
             raise _UsageError(f"config keys not read by {args.command}: {', '.join(unknown)}")

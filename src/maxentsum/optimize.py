@@ -53,7 +53,7 @@ from .kernels import (
     toeplitz_rows,
 )
 from .parallel import ordered_map
-from .pmf import LOG2E, ZERO_FLOOR, Pmf, _entropy_bits, _finalize, as_pmf
+from .pmf import LOG2E, ZERO_FLOOR, Pmf, _entropy_bits, _finalize, _summands
 
 #: Hard cap on ordered grid tuples enumerated by the grid oracle.
 GRID_BUDGET = 100_000_000
@@ -463,18 +463,8 @@ def _free_neg(supports, n: int, m: int) -> np.ndarray:
     return neg
 
 
-def _coerce_inputs(inputs) -> list[Pmf]:
-    pmfs = [as_pmf(p) for p in inputs]
-    if not pmfs:
-        raise DomainError("need at least one input block")
-    r = pmfs[0].m
-    if any(p.m != r for p in pmfs):
-        raise DomainError("input blocks must share a common alphabet")
-    return pmfs
-
-
-def _one_row(inputs, i: int) -> np.ndarray:
-    pmfs = _coerce_inputs(inputs)
+def _one_row(inputs, i: int, caller: str) -> np.ndarray:
+    pmfs = _summands(inputs, caller)
     if not 0 <= i < len(pmfs):
         raise DomainError(f"block index {i} out of range for {len(pmfs)} blocks")
     return np.array([[p.probs for p in pmfs]])
@@ -482,7 +472,7 @@ def _one_row(inputs, i: int) -> np.ndarray:
 
 def objective_gradient(inputs, i: int) -> np.ndarray:
     """Gradient of H(S_n) with respect to the masses of block ``i``."""
-    blocks = _one_row(inputs, i)
+    blocks = _one_row(inputs, i, "objective_gradient")
     toeplitz, _, logs = _block_terms(blocks, np.array([i]), _others(blocks.shape[1]))
     return gradient_rows(toeplitz, logs)[0]
 
@@ -497,7 +487,7 @@ def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
     ignored, since none of its settings applies to one block; it is still
     accepted because the benchmark's layer probe passes one.
     """
-    blocks = _one_row(inputs, i)
+    blocks = _one_row(inputs, i, "block_ascend")
     n, m = blocks.shape[1:]
     run = _Lockstep(blocks, np.zeros((n, m)), OptimizerConfig.outer_tol)  # ends no sweep
     run.cur[0] = i
@@ -587,25 +577,17 @@ def restricted_maximize(
 
 def _grid_counts(resolution: int, r: int) -> np.ndarray:
     """The compositions of ``resolution`` into r + 1 parts, one per row in
-    lexicographic order, as floats."""
-    out = np.empty((math.comb(resolution + r, r), r + 1))
+    lexicographic order, as floats.
 
-    def fill(rows: np.ndarray, remaining: int) -> None:
-        # ``rows`` receives every composition of ``remaining`` into its columns.
-        parts = rows.shape[1]
-        if parts == 2:
-            rows[:, 0] = np.arange(remaining + 1)
-            np.subtract(remaining, rows[:, 0], out=rows[:, 1])
-            return
-        a = 0
-        for v in range(remaining + 1):
-            b = a + math.comb(remaining - v + parts - 2, parts - 2)
-            rows[a:b, 0] = v
-            fill(rows[a:b, 1:], remaining - v)
-            a = b
-
-    fill(out, resolution)
-    return out
+    Stars and bars: the r bars take sorted places among resolution + r slots,
+    and the parts are the gaps between them.
+    """
+    slots = resolution + r
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), r)),
+        dtype=float, count=math.comb(slots, r) * r,
+    ).reshape(-1, r)
+    return np.diff(bars, axis=1, prepend=-1.0, append=float(slots)) - 1.0
 
 
 def _near_best_heads(counts: np.ndarray, n: int, slack: float) -> np.ndarray:

@@ -187,18 +187,23 @@ def convolve(p: PmfLike, q: PmfLike) -> Pmf:
     return _finalize(np.convolve(a, b), "convolve")
 
 
+def _summands(inputs: Iterable[PmfLike], caller: str) -> list[Pmf]:
+    """``inputs`` as pmfs; ``caller`` needs at least one, all on one alphabet."""
+    pmfs = [as_pmf(p) for p in inputs]
+    if not pmfs:
+        raise DomainError(f"{caller} needs at least one summand")
+    if any(p.m != pmfs[0].m for p in pmfs):
+        raise DomainError("summands must share a common alphabet {0, ..., r}")
+    return pmfs
+
+
 def sum_distribution(inputs: Iterable[PmfLike]) -> Pmf:
     """Distribution of the sum of n >= 1 independent variables on {0, ..., r}.
 
     All inputs must share one alphabet; the result is the left fold of
     :func:`convolve` with support {0, ..., n*r}.
     """
-    pmfs = [as_pmf(p) for p in inputs]
-    if not pmfs:
-        raise DomainError("sum_distribution needs at least one summand")
-    r = pmfs[0].m
-    if any(p.m != r for p in pmfs):
-        raise DomainError("summands must share a common alphabet {0, ..., r}")
+    pmfs = _summands(inputs, "sum_distribution")
     acc = pmfs[0].probs.copy()  # _finalize keeps the array it is given
     for p in pmfs[1:]:
         acc = np.convolve(acc, p.probs)

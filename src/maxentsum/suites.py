@@ -23,9 +23,11 @@ from .ulc import (
     STRICTNESS,
     _even_class_expansion,
     _odd_class_expansion,
-    _slack,
     certificate_sides,
+    first_failures,
+    margin_verdicts,
     random_ulc_sequences,
+    residue_classes,
     sign_lemma_rows,
     ternary_sum_masses,
     ulc_order_margins,
@@ -86,6 +88,26 @@ def _run(suite: str, trials: int, seed: int, params: dict, work, merge: dict) ->
     return report
 
 
+def _witnesses(trials: np.ndarray, failing: np.ndarray, **fields) -> list[dict]:
+    """One violation record per row flagged in ``failing``.
+
+    ``trials`` holds each row's global trial number.  A field is an array with
+    one entry per row, a list of such arrays (one per factor), or a value that
+    every record shares; records hold plain JSON values.
+    """
+    records = []
+    for t in np.flatnonzero(failing):
+        record = {"trial": int(trials[t])}
+        for key, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value = value[t].tolist()
+            elif isinstance(value, list):
+                value = [part[t].tolist() for part in value]
+            record[key] = value
+        records.append(record)
+    return records
+
+
 def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
     """Conditional ultra-log-concavity of residue classes on random products.
 
@@ -95,42 +117,30 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
     """
     check_count("n", n, 1)
     check_count("r", r, 1)
+    n, r = int(n), int(r)
 
     def work(rng: np.random.Generator, offset: int, size: int):
         draws = [rng.dirichlet(np.ones(r + 1), size=size) for _ in range(n)]
         sums = fold_rows(np.stack(draws, axis=1))
+        ids = offset + np.arange(size)
         violations: list[dict] = []
         worst = math.inf
-        for j in range(r):
-            cls = sums[:, j::r]
-            weights = cls.sum(axis=1)
-            positive = weights > 0.0
-            cond = np.zeros_like(cls)
-            cond[positive] = cls[positive] / weights[positive, None]
-            order = n if j == 0 else n - 1
+        for j, (order, weighted, cond) in enumerate(residue_classes(sums, r, n)):
             margins = ulc_order_margins(cond, order)
             if margins.size == 0:
                 continue
-            row_min = margins.min(axis=1)
-            if positive.any():
-                worst = min(worst, float(row_min[positive].min()))
-            tol = _slack(cond)
-            bad = positive & (row_min < -tol)
-            for t in np.flatnonzero(bad):
-                violations.append(
-                    {
-                        "trial": int(offset + t),
-                        "residue": int(j),
-                        "order": int(order),
-                        "margin": float(row_min[t]),
-                        "witness": int(np.argmax(margins[t] < -tol[t])) + 1,
-                        "inputs": [draws[b][t].tolist() for b in range(n)],
-                        "conditional": cond[t].tolist(),
-                    }
-                )
+            least, passes = margin_verdicts(margins, cond)
+            worst = min(worst, float(least[weighted].min(initial=math.inf)))
+            failing = weighted & ~passes
+            witness = np.zeros(size, int)
+            witness[failing] = first_failures(margins[failing], cond[failing])
+            violations += _witnesses(
+                ids, failing, residue=j, order=order, margin=least, witness=witness,
+                inputs=draws, conditional=cond,
+            )
         return violations, {"min_margin": worst}
 
-    report = _run("ulc", trials, seed, {"n": int(n), "r": int(r)}, work, {"min_margin": min})
+    report = _run("ulc", trials, seed, {"n": n, "r": r}, work, {"min_margin": min})
     if report.stats["min_margin"] == math.inf:
         report.stats["min_margin"] = None
     return report
@@ -154,27 +164,15 @@ def identity_suite(trials: int, seed: int = 0) -> SuiteReport:
         rhs_odd = _odd_class_expansion(tensor)
         scale = masses.max(axis=1) ** 2
         tol = 1e-12 * scale
+        ids = offset + np.arange(size)
         violations: list[dict] = []
         for kind, lhs, rhs in (("even", lhs_even, rhs_even), ("odd", lhs_odd, rhs_odd)):
-            for t in np.flatnonzero(np.abs(lhs - rhs) > tol):
-                violations.append(
-                    {
-                        "trial": int(offset + t),
-                        "kind": kind,
-                        "lhs": float(lhs[t]),
-                        "rhs": float(rhs[t]),
-                        "factors": [f[t].tolist() for f in factors],
-                    }
-                )
-        for t in np.flatnonzero(rhs_even < 0.0):
-            violations.append(
-                {
-                    "trial": int(offset + t),
-                    "kind": "even_negative",
-                    "rhs": float(rhs_even[t]),
-                    "factors": [f[t].tolist() for f in factors],
-                }
+            violations += _witnesses(
+                ids, np.abs(lhs - rhs) > tol, kind=kind, lhs=lhs, rhs=rhs, factors=factors
             )
+        violations += _witnesses(
+            ids, rhs_even < 0.0, kind="even_negative", rhs=rhs_even, factors=factors
+        )
         rel = np.maximum(
             np.abs(lhs_even - rhs_even) / scale, np.abs(lhs_odd - rhs_odd) / scale
         )
@@ -206,25 +204,14 @@ def sign_suite(trials: int, seed: int = 0) -> SuiteReport:
         tensor = np.einsum("ti,tj,tk->tijk", *factors)
         differences, hypothesis, implied = sign_lemma_rows(tensor)
         _, lhs_odd = certificate_sides(ternary_sum_masses(tensor))
-        violations: list[dict] = []
-        for t in np.flatnonzero(hypothesis & ~implied):
-            violations.append(
-                {
-                    "trial": int(offset + t),
-                    "kind": "sign",
-                    "differences": differences[t].tolist(),
-                    "factors": [f[t].tolist() for f in factors],
-                }
-            )
-        for t in np.flatnonzero(hypothesis & (lhs_odd <= 0.0)):
-            violations.append(
-                {
-                    "trial": int(offset + t),
-                    "kind": "odd_not_positive",
-                    "lhs": float(lhs_odd[t]),
-                    "factors": [f[t].tolist() for f in factors],
-                }
-            )
+        ids = offset + np.arange(size)
+        violations = _witnesses(
+            ids, hypothesis & ~implied, kind="sign", differences=differences, factors=factors
+        )
+        violations += _witnesses(
+            ids, hypothesis & (lhs_odd <= 0.0), kind="odd_not_positive", lhs=lhs_odd,
+            factors=factors,
+        )
         return violations, {"strict_hypothesis_count": int(hypothesis.sum())}
 
     params = {"strictness": STRICTNESS}
@@ -250,21 +237,12 @@ def preserve_suite(trials: int, seed: int = 0) -> SuiteReport:
             seqs = random_ulc_sequences(order, rows.size, rng)
             q = weights[rows]
             conv = conv_rows(np.stack([1.0 - q, q], axis=1), seqs)  # loops over the 2 columns
-            margins = ulc_order_margins(conv, order + 1)
-            row_min = margins.min(axis=1)
-            worst = min(worst, float(row_min.min()))
-            tol = _slack(conv)
-            for t in np.flatnonzero(row_min < -tol):
-                violations.append(
-                    {
-                        "trial": int(offset + rows[t]),
-                        "order": int(order),
-                        "bernoulli_weight": float(q[t]),
-                        "sequence": seqs[t].tolist(),
-                        "convolution": conv[t].tolist(),
-                        "margin": float(row_min[t]),
-                    }
-                )
+            least, passes = margin_verdicts(ulc_order_margins(conv, order + 1), conv)
+            worst = min(worst, float(least.min()))
+            violations += _witnesses(
+                offset + rows, ~passes, order=order, bernoulli_weight=q, sequence=seqs,
+                convolution=conv, margin=least,
+            )
         return violations, {"min_margin": worst}
 
     params = {"max_order": PRESERVE_MAX_ORDER}

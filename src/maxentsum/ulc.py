@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, check_count
-from .pmf import Pmf, PmfLike, as_pmf, residue_decompose, sum_distribution
+from .pmf import Pmf, PmfLike, as_pmf, sum_distribution
 
-#: Inequalities pass when their slack is >= -SLACK_COEFF * max(u)^2; margins
-#: in reports stay pre-tolerance.
+#: :func:`margin_verdicts` passes a row whose least margin is
+#: >= -SLACK_COEFF * max(u)^2; margins in reports stay pre-tolerance.
 SLACK_COEFF = 1e-12
 #: The sign lemma needs factors whose every mass exceeds this.
 STRICTNESS = 1e-9
@@ -79,28 +79,43 @@ def ulc_order_margins(u, order: int) -> np.ndarray:
     return lhs - rhs
 
 
-def _passes(margins: np.ndarray, arr: np.ndarray) -> bool:
-    if margins.size == 0:
-        return True
-    return bool(margins.min() >= -_slack(arr))
+def margin_verdicts(margins: np.ndarray, seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's least margin and whether the row passes.
+
+    A row passes when its least margin is >= -SLACK_COEFF * max(row)^2.  Rows
+    with no interior index pass, with least margin +inf.
+    """
+    if margins.shape[-1] == 0:
+        least = np.full(margins.shape[:-1], math.inf)
+        return least, np.ones(least.shape, bool)
+    least = margins.min(axis=-1)
+    return least, least >= -_slack(seqs)
+
+
+def first_failures(margins: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """The index into each sequence of its first interior inequality that fails.
+
+    Only meant for rows that fail :func:`margin_verdicts`.
+    """
+    return np.argmax(margins < -_slack(seqs)[..., None], axis=-1) + 1
 
 
 def is_log_concave(u) -> bool:
     """Literal check of u_i^2 >= u_{i-1} u_{i+1}, zeros included."""
     arr = _sequence(u, "is_log_concave")
-    return _passes(log_concavity_margins(arr), arr)
+    return bool(margin_verdicts(log_concavity_margins(arr), arr)[1])
 
 
 def is_ulc_infinite(u) -> bool:
     """True iff (u_i * i!) is log-concave, i.e. i u_i^2 >= (i+1) u_{i-1} u_{i+1}."""
     arr = _sequence(u, "is_ulc_infinite")
-    return _passes(ulc_inf_margins(arr), arr)
+    return bool(margin_verdicts(ulc_inf_margins(arr), arr)[1])
 
 
 def is_ulc_order(u, order: int) -> bool:
     """True iff (u_i / C(order, i)) is log-concave; Binomial(order, p) sits on equality."""
     arr = _sequence(u, "is_ulc_order")
-    return _passes(ulc_order_margins(arr, order), arr)
+    return bool(margin_verdicts(ulc_order_margins(arr, order), arr)[1])
 
 
 def has_internal_zeros(u) -> bool:
@@ -147,6 +162,22 @@ class UlcReport:
         return {"r": self.r, "per_class": [asdict(c) for c in self.per_class]}
 
 
+def residue_classes(sums: np.ndarray, r: int, n: int):
+    """Yield the residue classes mod ``r`` of the laws ``sums`` (rows, length) of S_n.
+
+    Class j comes as (order, weighted, cond): the order it is tested at (n for
+    class 0, n - 1 for the others), the mask of rows where it has weight, and
+    its conditional laws, all-zero on the rows without weight.
+    """
+    for j in range(r):
+        cls = sums[:, j::r]
+        weights = cls.sum(axis=1)
+        weighted = weights > 0.0
+        cond = np.zeros_like(cls)
+        cond[weighted] = cls[weighted] / weights[weighted, None]
+        yield (n if j == 0 else n - 1), weighted, cond
+
+
 def conditional_ulc_report(inputs, r: int) -> UlcReport:
     """Test the residue classes of the sum of ``inputs`` mod ``r``.
 
@@ -155,26 +186,19 @@ def conditional_ulc_report(inputs, r: int) -> UlcReport:
     passes.
     """
     pmfs = [as_pmf(p) for p in inputs]
-    n = len(pmfs)
     total = sum_distribution(pmfs)
-    dec = residue_decompose(total, r)
+    check_count("modulus", r, 1)
     per: list[UlcClassReport] = []
-    for j in range(dec.r):
-        order = n if j == 0 else n - 1
-        if dec.degenerate[j]:
-            per.append(UlcClassReport(j, order, True, None, None))
-            continue
-        u = dec.conditionals[j].probs
-        margins = ulc_order_margins(u, order)
-        if margins.size == 0:
-            per.append(UlcClassReport(j, order, True, None, None))
-            continue
-        tol = float(_slack(u))
-        worst = float(margins.min())
-        passed = worst >= -tol
-        witness = None if passed else int(np.argmax(margins < -tol)) + 1
-        per.append(UlcClassReport(j, order, passed, witness, worst))
-    return UlcReport(r=dec.r, per_class=tuple(per))
+    classes = residue_classes(total.probs[None], int(r), len(pmfs))
+    for j, (order, weighted, cond) in enumerate(classes):
+        u = cond[0]
+        # A class without weight or without an interior index passes vacuously.
+        margins = ulc_order_margins(u, order) if weighted[0] else u[:0]
+        least, passed = margin_verdicts(margins, u)
+        witness = None if passed else int(first_failures(margins, u))
+        margin = float(least) if margins.size else None
+        per.append(UlcClassReport(j, order, bool(passed), witness, margin))
+    return UlcReport(r=int(r), per_class=tuple(per))
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,8 +399,7 @@ def random_ulc_sequences(order: int, count: int, rng: np.random.Generator) -> np
     check_count("count", count, 1)
     length = order + 1
     draws = rng.dirichlet(np.ones(length), size=_REJECTION_FACTOR * count)
-    margins = ulc_order_margins(draws, order)
-    ok = margins.min(axis=1) >= -_slack(draws) if margins.size else np.ones(len(draws), bool)
+    _, ok = margin_verdicts(ulc_order_margins(draws, order), draws)
     kept = draws[ok][:count]
     short = count - kept.shape[0]
     if short > 0:

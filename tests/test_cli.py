@@ -14,6 +14,7 @@ from maxentsum import (
     cli,
     conjectured_inputs,
     read_pmf,
+    suites,
     sum_distribution,
 )
 from maxentsum.cli import COMMAND_SETTINGS, CSV_HEADER, _build_parser, main
@@ -278,6 +279,16 @@ class TestVerifyCommand:
         payload = json.loads(path.read_text(), parse_constant=reject)
         assert payload["stats"]["min_margin"] is None
 
+    def test_prints_the_first_five_witnesses_without_out(self, capsys, monkeypatch):
+        real = suites.ulc_order_margins
+        monkeypatch.setattr(suites, "ulc_order_margins", lambda u, order: real(u, order) - 10.0)
+        code, out, _ = run(capsys, "verify", "--suite", "ulc", "--trials", "50", "--seed", "2")
+        assert code == 1
+        assert "violations = 50" in out
+        witnesses = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+        assert [w["trial"] for w in witnesses] == [0, 1, 2, 3, 4]
+        assert all(w["residue"] == 0 and w["witness"] == 1 for w in witnesses)
+
     @pytest.mark.parametrize("suite", ["identity", "sign", "preserve", "decomposition"])
     def test_all_suites_run(self, capsys, suite):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--trials", "500")
@@ -464,6 +475,36 @@ class TestSettingsPrecedence:
         code, _, err = run(capsys, "bound", "--config", str(config), "--n", "1", "--r", "1")
         assert code == 2
         assert "key = value" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_usage_error_naming_the_file(self, capsys, tmp_path, kind):
+        config = tmp_path / "run.conf"
+        if kind == "directory":
+            config.mkdir()
+        elif kind == "not-utf8":
+            config.write_bytes(b"n = 1\nr = \xff\n")
+        code, out, err = run(capsys, "bound", "--config", str(config), "--n", "1", "--r", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and str(config) in err
+
+    def test_config_boolean_words(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("json = yes\n")
+        code, out, _ = run(capsys, "bound", "--config", str(config), "--n", "1", "--r", "3")
+        assert code == 0
+        assert json.loads(out)["bound_bits"] == 2.0
+
+    def test_env_boolean_zeroes_sweep_timing(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXENT_NO_TIMING", "1")
+        code, out, _ = run(capsys, "sweep", "--n-max", "1", "--r-max", "2", "--starts", "1")
+        assert code == 0
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["0.0", "0.0"]
+
+    def test_env_value_that_is_not_a_boolean_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXENT_JSON", "maybe")
+        code, out, err = run(capsys, "bound", "--n", "1", "--r", "3")
+        assert code == 2 and out == ""
+        assert "MAXENT_JSON" in err and "maybe" in err
 
     def test_bad_env_value_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("MAXENT_R", "banana")

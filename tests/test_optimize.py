@@ -116,6 +116,13 @@ class TestObjectiveGradient:
         with pytest.raises(DomainError):
             objective_gradient([Pmf.uniform(2)], 1)
 
+    @pytest.mark.parametrize("call", [objective_gradient, block_ascend])
+    def test_needs_blocks_on_one_alphabet(self, call):
+        with pytest.raises(DomainError, match=rf"^{call.__name__} needs at least one summand"):
+            call([], 0)
+        with pytest.raises(DomainError, match="common alphabet"):
+            call([Pmf.uniform(2), Pmf.uniform(3)], 0)
+
 
 class TestBlockAscend:
     def test_already_optimal_block_unchanged(self):

@@ -146,6 +146,70 @@ class TestThreadCount:
             thread_count()
 
 
+class TestViolationRecords:
+    """Injected failures: each one is recorded with its global trial number."""
+
+    TRIALS = 150  # three chunks of 64 trials
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(suites, "CHUNK_SIZE", 64)
+
+    def test_ulc(self, monkeypatch):
+        real = suites.ulc_order_margins
+        monkeypatch.setattr(suites, "ulc_order_margins", lambda u, order: real(u, order) - 10.0)
+        report = ulc_suite(3, 2, trials=self.TRIALS, seed=1)
+        keys = {"trial", "residue", "order", "margin", "witness", "inputs", "conditional"}
+        assert all(set(v) == keys for v in report.violations)
+        for residue, order in ((0, 3), (1, 2)):
+            records = [v for v in report.violations if v["residue"] == residue]
+            assert [v["trial"] for v in records] == list(range(self.TRIALS))
+            assert all(v["order"] == order and v["witness"] == 1 for v in records)
+            assert all(v["margin"] < -5.0 for v in records)
+        # Trial 70 is row 6 of chunk 1; its record holds that row's draws.
+        rng = seeded_rng(1, 1)
+        draws = [rng.dirichlet(np.ones(3), size=64) for _ in range(3)]
+        record = next(v for v in report.violations if v["trial"] == 70)
+        assert record["inputs"] == [d[6].tolist() for d in draws]
+        total = np.convolve(np.convolve(draws[0][6], draws[1][6]), draws[2][6])
+        np.testing.assert_allclose(record["conditional"], total[0::2] / total[0::2].sum())
+
+    def test_identity(self, monkeypatch):
+        real = suites._even_class_expansion
+        monkeypatch.setattr(suites, "_even_class_expansion", lambda v: real(v) - 1.0)
+        report = identity_suite(trials=self.TRIALS, seed=1)
+        even = [v for v in report.violations if v["kind"] == "even"]
+        negative = [v for v in report.violations if v["kind"] == "even_negative"]
+        assert len(even) + len(negative) == len(report.violations)
+        assert all(set(v) == {"trial", "kind", "lhs", "rhs", "factors"} for v in even)
+        assert all(set(v) == {"trial", "kind", "rhs", "factors"} for v in negative)
+        for records in (even, negative):
+            assert [v["trial"] for v in records] == list(range(self.TRIALS))
+        assert all(len(v["factors"]) == 3 and v["rhs"] < 0.0 for v in negative)
+
+    def test_preserve(self, monkeypatch):
+        real = suites.ulc_order_margins
+        monkeypatch.setattr(suites, "ulc_order_margins", lambda u, order: real(u, order) - 10.0)
+        report = preserve_suite(trials=self.TRIALS, seed=1)
+        keys = {"trial", "order", "bernoulli_weight", "sequence", "convolution", "margin"}
+        assert all(set(v) == keys for v in report.violations)
+        assert sorted(v["trial"] for v in report.violations) == list(range(self.TRIALS))
+        for v in report.violations:
+            q = v["bernoulli_weight"]
+            assert len(v["sequence"]) == v["order"] + 1
+            expected = np.convolve(v["sequence"], [1.0 - q, q])
+            np.testing.assert_allclose(v["convolution"], expected, atol=1e-15)
+
+    def test_decomposition(self, monkeypatch):
+        real = suites._entropy_bits
+        monkeypatch.setattr(suites, "_entropy_bits", lambda arr: real(arr) + 1e-6)
+        report = decomposition_suite(trials=self.TRIALS, seed=1)
+        assert all(set(v) == {"trial", "kind", "error", "r", "pmf"} for v in report.violations)
+        assert all(v["kind"] == "entropy" for v in report.violations)
+        assert [v["trial"] for v in report.violations] == list(range(self.TRIALS))
+        assert all(v["error"] == pytest.approx(1e-6) for v in report.violations)
+
+
 class TestUlcSuiteMatchesReportOperation:
     def test_batch_verdicts_agree_with_per_instance_reports(self):
         # Rebuild the suite's chunk-0 draws and push each instance through the

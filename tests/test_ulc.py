@@ -1,5 +1,6 @@
 """Log-concavity checkers, the conditional report, identities, and the sign lemma."""
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from maxentsum import (
     sign_lemma_check,
     sum_distribution,
     ternary_sum_masses,
+    ulc_suite,
 )
 
 
@@ -157,6 +159,28 @@ class TestConditionalUlcReport:
         report = conditional_ulc_report([Pmf.point_mass(0, m=2)] * 2, 2)
         assert report.all_pass
         assert report.per_class[1].margin is None
+
+    def test_as_dict(self):
+        report = conditional_ulc_report([Pmf.point_mass(0, m=2)] * 2, 2)
+        assert report.as_dict() == {
+            "r": 2,
+            "per_class": [
+                {"residue": 0, "order": 2, "passed": True, "witness": None, "margin": 0.0},
+                {"residue": 1, "order": 1, "passed": True, "witness": None, "margin": None},
+            ],
+        }
+
+    def test_reproduces_a_violation_the_suite_records(self):
+        # Three summands on {0, ..., 3} do break conditional ULC; the report on a
+        # recorded instance fails the same class at the same index.
+        record = ulc_suite(3, 3, trials=2000, seed=1).violations[0]
+        report = conditional_ulc_report(record["inputs"], 3)
+        failed = report.per_class[record["residue"]]
+        assert not report.all_pass and not failed.passed
+        assert failed.witness == record["witness"]
+        assert failed.margin == pytest.approx(record["margin"], rel=1e-9)
+        payload = json.loads(json.dumps(report.as_dict()))
+        assert payload["per_class"][record["residue"]]["witness"] == record["witness"]
 
     def test_two_summand_certificate_inequality(self):
         # The even-class certificate for two summands dominates the square of
