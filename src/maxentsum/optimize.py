@@ -16,6 +16,13 @@ plus the conjectured construction as an extra start, probes the non-concave
 joint landscape.  A brute-force grid oracle provides an independent lower
 estimate of the maximum.
 
+The update only shrinks a mass geometrically and never regrows an exact zero,
+while the conjectured maximizer puts every block on a face of its simplex.  So
+each block entry makes an active-set move (Nocedal and Wright, ch. 16), kept
+only where H(S_n) does not fall: a tiny mass whose gradient lies under ``g.p``
+is set to exactly 0, and a zero mass whose gradient is the block's top is
+lifted back into play.
+
 All starts of a call run at once as rows of one array, in row-asynchronous
 lockstep: one iteration evaluates one candidate step for every active row.  A
 row that finishes its block waits, frozen, until the waiting rows are half of
@@ -95,6 +102,10 @@ _ETA_MAX = 1e6
 #: Blahut-Arimoto step, which never lowers H(S_n) in exact arithmetic, so a
 #: candidate at this exponent is accepted without comparing rounded values.
 _ETA_BA = math.log(2.0)
+#: Block entry's active-set move (``_face_moves``) drops dominated masses below
+#: ``_DROP`` and lifts zero masses at the gradient's top to ``_LIFT``.
+_DROP = 1e-4
+_LIFT = 1e-9
 
 #: Why a start stopped (``StartRecord.reason``); only "stationary" is converged.
 REASONS = ("stationary", "inner_budget", "max_outer_sweeps")
@@ -127,8 +138,9 @@ class StartRecord:
     the largest stationarity gap ``max g - g.p`` that a block of the final
     sweep ended with; it bounds, in bits, what any change of one block alone
     could still add to H(S_n).  ``steps`` counts the objective evaluations
-    of the start: its candidate block steps, accepted and rejected, and its
-    extrapolation trials.  ``jumps`` counts the extrapolations it accepted.
+    of the start: its candidate block steps, accepted and rejected, its
+    block-entry moves and its extrapolation trials.  ``jumps`` counts the
+    extrapolations it accepted.
     """
 
     start_id: int
@@ -221,6 +233,20 @@ def _ascent_terms(toeplitz: np.ndarray, sums: np.ndarray, logs: np.ndarray,
     return masked - top, top[:, 0] - mean[:, 0], newton
 
 
+def _face_moves(p: np.ndarray, shift: np.ndarray, gap: np.ndarray):
+    """The active-set move of each row of blocks ``p`` and whether it moves.
+
+    With ``c = g - g.p = shift + gap``, the move sets to 0 every mass below
+    ``_DROP`` with ``c < 0`` and lifts to ``_LIFT`` every zero mass at the
+    top (``shift = 0``); pinned masses have ``shift = -inf`` and stay 0.
+    """
+    drop = (p > 0.0) & (p < _DROP) & (shift + gap[:, None] < 0.0)
+    lift = (p == 0.0) & (shift == 0.0)
+    q = np.where(drop, 0.0, np.where(lift, _LIFT, p))
+    q /= np.add.reduce(q, axis=1, keepdims=True)
+    return q, (drop | lift).any(axis=1)
+
+
 class _Lockstep:
     """Block ascent of many rows at once; each row is a start.
 
@@ -228,10 +254,10 @@ class _Lockstep:
     a start's ``StartRecord`` is written once, when its row retires.
     Between iterations every live row is inside a block with one candidate
     step pending; ``step`` evaluates it, ``close`` ends blocks and sweeps, and
-    ``enter`` starts a row's next block.  A block ends only at its ``stop``
-    gap or on a spent inner budget.  ``stop`` is the larger of ``INNER_TOL``
-    and ``_GAP_CUT`` times the entry gap; a sweep with a block cut short that
-    way does not end its start.
+    ``enter`` makes the active-set move of a row's next block and starts it.
+    A block ends only at its ``stop`` gap or on a spent inner budget.
+    ``stop`` is the larger of ``INNER_TOL`` and ``_GAP_CUT`` times the entry
+    gap; a sweep with a block cut short that way does not end its start.
 
     A row whose block ends becomes inactive and waits with its state frozen;
     ``run`` closes and enters the blocks of all waiting rows in one ``_settle``
@@ -246,7 +272,8 @@ class _Lockstep:
     move the row along its last sweep move (see ``_XFROM``); the row then
     sweeps again from the new point, so a sweep that extrapolated never
     settles its start.  ``steps`` counts a row's objective evaluations: one
-    per iteration in which it is active, and one per extrapolation trial.
+    per iteration in which it is active, one per entry move and one per
+    extrapolation trial.
     """
 
     _FIELDS = (
@@ -348,11 +375,25 @@ class _Lockstep:
         toeplitz, sums, logs = _block_terms(blocks, cur, self.others)
         neg = self.block_neg[cur]
         shift, gap, newton = _ascent_terms(toeplitz, sums, logs, neg, p)
+        value = entropy_rows(sums, logs)
+        q, moves = _face_moves(p, shift, gap)
+        if moves.any():
+            rows = moves.nonzero()[0]
+            self.steps[idx[rows]] += 1
+            sums = np.matmul(toeplitz[rows], q[rows][:, :, None])[:, :, 0]
+            logs = log2_rows(sums)
+            moved = entropy_rows(sums, logs)
+            keep = moved >= value[rows]
+            rows = rows[keep]
+            p[rows] = q[rows]
+            value[rows] = moved[keep]
+            shift[rows], gap[rows], newton[rows] = _ascent_terms(
+                toeplitz[rows], sums[keep], logs[keep], neg[rows], p[rows])
         self.toeplitz[idx] = toeplitz
         self.neg[idx] = neg
         self.p[idx] = p
         self.shift[idx] = shift
-        self.value[idx] = entropy_rows(sums, logs)
+        self.value[idx] = value
         self.gap[idx] = gap
         self.stop[idx] = np.maximum(_GAP_CUT * gap, INNER_TOL)
         self.eta[idx] = np.maximum(np.minimum(newton, 2.0), _ETA_BA)[:, None]
@@ -402,14 +443,14 @@ class _Lockstep:
         From sweep ``_XFROM`` on, a row's sweep move ``d`` is the change of
         its log2 masses over the sweep.  The row tries the blocks
         ``y * 2^(t d)``, renormalized per block, for t = 1, 2, 4, ... and
-        keeps the best while H(S_n) rises.  A candidate with a free mass at
-        or below ``ZERO_FLOOR`` is never better: zero is absorbing under the
-        block update.  Pinned masses are 0 in ``y`` and stay 0."""
+        keeps the best while H(S_n) rises.  A candidate that takes a mass
+        positive in ``y`` to ``ZERO_FLOOR`` or below is never better: only a
+        block entry may zero a mass, where a dominated one is dropped on
+        purpose.  A mass that is 0 in ``y``, pinned or dropped, stays 0."""
         rows = idx[self.sweeps[idx] >= _XFROM]
         move = log2_rows(self.blocks[rows]) - log2_rows(self.origin[rows])
         y = self.blocks[rows]
         best = self.value[rows]
-        pinned = self.block_neg < 0.0
         live = np.arange(rows.size)
         t = 1.0
         while live.size:
@@ -419,7 +460,8 @@ class _Lockstep:
             sums = fold_rows(q)
             value = entropy_rows(sums, log2_rows(sums))
             self.steps[rows[live]] += 1
-            better = (value > best[live]) & ~((q <= ZERO_FLOOR) & ~pinned).any(axis=(1, 2))
+            zeroed = ((q <= ZERO_FLOOR) & (y[live] > 0.0)).any(axis=(1, 2))
+            better = (value > best[live]) & ~zeroed
             live = live[better]
             self.blocks[rows[live]] = q[better]
             best[live] = value[better]
@@ -509,17 +551,13 @@ def _random_start(n: int, r: int, supports, seed: int, start_id: int) -> list[np
     return blocks
 
 
-def _conjectured_start(n: int, r: int, supports) -> list[np.ndarray]:
-    base = [p.probs.copy() for p in conjectured_inputs(n, r)]
+def _conjectured_start(n: int, r: int) -> list[np.ndarray]:
+    base = [p.probs for p in conjectured_inputs(n, r)]
     # The mixture block carries interior mass, so it must sit on a
     # full-support slot; block 0 always is one.  The objective is symmetric
-    # under block permutation, so the value is unchanged.
-    base = [base[-1]] + base[:-1]
-    for i, block in enumerate(base):
-        free = np.arange(r + 1) if supports[i] is None else supports[i]
-        block[free] += 1e-30  # lift boundary zeros so log terms stay finite
-        block[free] /= block[free].sum()
-    return base
+    # under block permutation, so the value is unchanged.  Its exact zeros
+    # need no lift: block entry lifts a zero mass at the gradient's top.
+    return [base[-1]] + base[:-1]
 
 
 def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> OptimizationResult:
@@ -527,7 +565,7 @@ def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> Optimization
 
     def run(start_ids: list[int]) -> _Lockstep:
         blocks0 = np.array([
-            _conjectured_start(n, r, supports) if sid == config.starts
+            _conjectured_start(n, r) if sid == config.starts
             else _random_start(n, r, supports, config.seed, sid)
             for sid in start_ids
         ])

@@ -332,8 +332,13 @@ def read_pmf(source) -> Pmf:
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ValidationError(f"line {lineno}: non-ASCII byte {data[exc.start]:#04x}") from exc
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

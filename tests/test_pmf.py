@@ -362,6 +362,12 @@ class TestTextFormat:
         with pytest.raises(ValidationError):
             read_pmf(io.StringIO("# only comments\n"))
 
+    def test_non_ascii_byte_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "accent.pmf"
+        path.write_bytes("0.5\n0.5 # hé\n".encode("utf-8"))
+        with pytest.raises(ValidationError, match=r"^line 2: non-ASCII byte 0xc3$"):
+            read_pmf(path)
+
     def test_seventeen_digit_precision_survives(self):
         value = 1.0 / 3.0
         p = Pmf([value, 1.0 - value])
