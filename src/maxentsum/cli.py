@@ -57,7 +57,7 @@ SETTINGS = {
 
 #: Help for the settings whose meaning depends on the subcommand.
 _HELP = {
-    ("optimize", "tol"): "outer tolerance of the optimizer (default 1e-12)",
+    ("optimize", "tol"): f"optimizer outer tolerance (default {OptimizerConfig.outer_tol:g})",
     ("sweep", "tol"): "gap above which a cell is a potential counterexample (default 1e-6)",
     ("construct", "out"): "directory for the pmf files",
 }
@@ -155,6 +155,12 @@ class _Settings:
             raise _UsageError(f"missing required setting --{name}")
         return value
 
+    def chosen(self, **params: str) -> dict:
+        """``{parameter: value}`` for each ``parameter=setting`` that a user
+        set; the callee's own defaults supply the rest."""
+        values = {param: self.get(name) for param, name in params.items()}
+        return {param: value for param, value in values.items() if value is not None}
+
     @staticmethod
     def _cast(cast, raw: str, origin: str):
         try:
@@ -199,19 +205,16 @@ def _cmd_construct(cfg: _Settings) -> int:
     return EXIT_OK
 
 
-def _optimizer_config(cfg: _Settings, tol: float = OptimizerConfig.outer_tol) -> OptimizerConfig:
-    return OptimizerConfig(
-        starts=cfg.get("starts", default=64),
-        seed=cfg.get("seed", default=0),
-        outer_tol=tol,
-    )
+def _optimizer_config(cfg: _Settings, **params: str) -> OptimizerConfig:
+    """``OptimizerConfig`` with the optimizer settings a user set."""
+    return OptimizerConfig(**cfg.chosen(starts="starts", seed="seed", **params))
 
 
 def _cmd_optimize(cfg: _Settings) -> int:
     n = cfg.get("n", required=True)
     r = cfg.get("r", required=True)
     ell = cfg.get("ell")
-    oc = _optimizer_config(cfg, cfg.get("tol", default=OptimizerConfig.outer_tol))
+    oc = _optimizer_config(cfg, outer_tol="tol")
     if ell is None:
         result = multistart_maximize(n, r, oc)
     else:
@@ -308,15 +311,15 @@ def _cmd_verify(cfg: _Settings) -> int:
         if cfg.given(name) and name not in reads:
             raise _UsageError(f"suite {suite} does not read --{name}")
     trials = cfg.get("trials", default=10_000)
-    seed = cfg.get("seed", default=0)
+    seed = cfg.chosen(seed="seed")
     if suite == "ulc":
         report = suites.ulc_suite(
-            cfg.get("n", default=2), cfg.get("r", default=2), trials, seed
+            cfg.get("n", default=2), cfg.get("r", default=2), trials, **seed
         )
     elif suite == "decomposition":
-        report = suites.decomposition_suite(trials, seed, r=cfg.get("r"))
+        report = suites.decomposition_suite(trials, r=cfg.get("r"), **seed)
     else:
-        report = getattr(suites, f"{suite}_suite")(trials, seed)
+        report = getattr(suites, f"{suite}_suite")(trials, **seed)
     print(f"suite = {report.suite}")
     print(f"trials = {report.trials}")
     print(f"seed = {report.seed}")

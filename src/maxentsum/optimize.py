@@ -268,16 +268,20 @@ class _Lockstep:
     The exponent never falls below ``_ETA_BA``, where a candidate is accepted
     without comparing values.
 
-    At the end of a sweep that does not end its start, ``_extrapolate`` may
-    move the row along its last sweep move (see ``_XFROM``); the row then
-    sweeps again from the new point, so a sweep that extrapolated never
-    settles its start.  ``steps`` counts a row's objective evaluations: one
-    per iteration in which it is active, one per entry move and one per
-    extrapolation trial.
+    ``block_neg`` is the per-block mask of the call, 0 on a block's free
+    coordinates and ``-inf`` on its pinned ones; ``step`` and ``enter`` index
+    it by each row's current block.  ``origin`` holds each row's blocks at the
+    start of its current sweep: its start blocks at first, then, at each
+    sweep end, the blocks it sweeps again from.  At the end of a sweep that
+    does not end its start, ``_extrapolate`` may move the row along its last
+    sweep move (see ``_XFROM``); the row then sweeps again from the new
+    point, so a sweep that extrapolated never settles its start.  ``steps``
+    counts a row's objective evaluations: one per iteration in which it is
+    active, one per entry move and one per extrapolation trial.
     """
 
     _FIELDS = (
-        "ids", "blocks", "cur", "neg", "toeplitz", "p", "shift", "value", "gap", "stop", "eta",
+        "ids", "blocks", "cur", "toeplitz", "p", "shift", "value", "gap", "stop", "eta",
         "inner", "sweeps", "prev", "sweep_gap", "sweep_cut", "done", "active", "steps",
         "origin", "jumps",
     )
@@ -290,7 +294,6 @@ class _Lockstep:
         self.ids = np.arange(count)
         self.blocks = blocks.copy()
         self.cur = np.zeros(count, dtype=int)
-        self.neg = np.zeros((count, m))
         self.toeplitz = np.zeros((count, n * (m - 1) + 1, m))
         self.p = np.zeros((count, m))
         self.shift = np.zeros((count, m))
@@ -306,8 +309,7 @@ class _Lockstep:
         self.done = np.zeros(count, dtype=bool)
         self.active = np.ones(count, dtype=bool)  # false while a row waits, frozen
         self.steps = np.zeros(count, dtype=int)
-        # The blocks at the start of the current sweep, from sweep _XFROM on.
-        self.origin = np.empty_like(blocks)
+        self.origin = blocks.copy()
         self.jumps = np.zeros(count, dtype=int)
         # Outputs, indexed by start id.
         self.out_blocks = np.empty_like(blocks)
@@ -352,7 +354,7 @@ class _Lockstep:
         if not accepted.any():
             np.maximum(0.5 * self.eta, _ETA_BA, out=self.eta, where=active)
             return accepted.nonzero()[0]
-        shift, gap, newton = _ascent_terms(self.toeplitz, sums, logs, self.neg, q)
+        shift, gap, newton = _ascent_terms(self.toeplitz, sums, logs, self.block_neg[self.cur], q)
         column = accepted[:, None]
         np.copyto(self.p, q, where=column)
         np.copyto(self.shift, shift, where=column)
@@ -390,7 +392,6 @@ class _Lockstep:
             shift[rows], gap[rows], newton[rows] = _ascent_terms(
                 toeplitz[rows], sums[keep], logs[keep], neg[rows], p[rows])
         self.toeplitz[idx] = toeplitz
-        self.neg[idx] = neg
         self.p[idx] = p
         self.shift[idx] = shift
         self.value[idx] = value
@@ -425,9 +426,10 @@ class _Lockstep:
         keep = ~(settled | capped)
         self._retire(ends[~keep], capped[~keep])
         again = ends[keep]
-        late = again[swept[keep] >= _XFROM - 1]
+        late = again[swept[keep] >= _XFROM]
         if late.size:
             self._extrapolate(late)
+        self.origin[again] = self.blocks[again]
         self.prev[again] = self.value[again]
         self.sweep_gap[again] = -math.inf
         self.sweep_cut[again] = False
@@ -436,18 +438,17 @@ class _Lockstep:
         while ended.size:
             ended = self.enter(self.close(ended))
 
-    def _extrapolate(self, idx: np.ndarray) -> None:
-        """Extrapolate rows ``idx``, which end a sweep that does not end their
-        start and have swept at least ``_XFROM - 1`` times.
+    def _extrapolate(self, rows: np.ndarray) -> None:
+        """Extrapolate rows ``rows``, which end their sweep ``_XFROM`` or a
+        later one and sweep again.
 
-        From sweep ``_XFROM`` on, a row's sweep move ``d`` is the change of
-        its log2 masses over the sweep.  The row tries the blocks
+        A row's sweep move ``d`` is the change of its log2 masses over the
+        sweep, from ``origin`` to ``y``.  The row tries the blocks
         ``y * 2^(t d)``, renormalized per block, for t = 1, 2, 4, ... and
         keeps the best while H(S_n) rises.  A candidate that takes a mass
         positive in ``y`` to ``ZERO_FLOOR`` or below is never better: only a
         block entry may zero a mass, where a dominated one is dropped on
         purpose.  A mass that is 0 in ``y``, pinned or dropped, stays 0."""
-        rows = idx[self.sweeps[idx] >= _XFROM]
         move = log2_rows(self.blocks[rows]) - log2_rows(self.origin[rows])
         y = self.blocks[rows]
         best = self.value[rows]
@@ -468,7 +469,6 @@ class _Lockstep:
             t *= 2.0
         self.jumps[rows] += best > self.value[rows]
         self.value[rows] = best
-        self.origin[idx] = self.blocks[idx]
 
     def _retire(self, idx: np.ndarray, capped: np.ndarray) -> None:
         """Record the starts of rows ``idx``; ``capped`` marks those that hit
@@ -493,16 +493,6 @@ class _Lockstep:
             live = ~self.done
             for name in self._FIELDS:
                 setattr(self, name, getattr(self, name)[live])
-
-
-def _free_neg(supports, n: int, m: int) -> np.ndarray:
-    """Per block: 0 on its free coordinates, ``-inf`` on the pinned ones."""
-    neg = np.zeros((n, m))
-    for i, support in enumerate(supports):
-        if support is not None:
-            neg[i] = -math.inf
-            neg[i, support] = 0.0
-    return neg
 
 
 def _one_row(inputs, i: int, caller: str) -> np.ndarray:
@@ -540,14 +530,13 @@ def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
     return _finalize(run.p[0].copy(), "block_ascend")
 
 
-def _random_start(n: int, r: int, supports, seed: int, start_id: int) -> list[np.ndarray]:
+def _random_start(neg: np.ndarray, seed: int, start_id: int) -> np.ndarray:
+    """Flat-Dirichlet masses on each block's free coordinates (``neg == 0``)
+    and exact zeros on its pinned ones."""
     rng = seeded_rng(seed, start_id)
-    blocks = []
-    for i in range(n):
-        block = np.zeros(r + 1)
-        free = np.arange(r + 1) if supports[i] is None else supports[i]
-        block[free] = rng.dirichlet(np.ones(free.size))
-        blocks.append(block)
+    blocks = np.zeros(neg.shape)
+    for block, free in zip(blocks, neg == 0.0):
+        block[free] = rng.dirichlet(np.ones(np.count_nonzero(free)))
     return blocks
 
 
@@ -560,13 +549,14 @@ def _conjectured_start(n: int, r: int) -> list[np.ndarray]:
     return [base[-1]] + base[:-1]
 
 
-def _maximize(n: int, r: int, supports, config: OptimizerConfig) -> OptimizationResult:
-    neg = _free_neg(supports, n, r + 1)
+def _maximize(n: int, r: int, neg: np.ndarray, config: OptimizerConfig) -> OptimizationResult:
+    """Run every start of a call; ``neg`` is the per-block mask, 0 on each
+    block's free coordinates and ``-inf`` on its pinned ones."""
 
     def run(start_ids: list[int]) -> _Lockstep:
         blocks0 = np.array([
             _conjectured_start(n, r) if sid == config.starts
-            else _random_start(n, r, supports, config.seed, sid)
+            else _random_start(neg, config.seed, sid)
             for sid in start_ids
         ])
         return _Lockstep(blocks0, neg, config.outer_tol).run()
@@ -596,7 +586,7 @@ def multistart_maximize(n: int, r: int, config: OptimizerConfig | None = None) -
     """
     _check_nr(n, r)
     config = config or OptimizerConfig()
-    return _maximize(n, r, [None] * n, config)
+    return _maximize(n, r, np.zeros((n, r + 1)), config)
 
 
 def restricted_maximize(
@@ -607,10 +597,10 @@ def restricted_maximize(
     check_count("ell", ell, 1)
     if ell > n:
         raise DomainError(f"need 1 <= ell <= n, got ell = {ell!r}")
-    two_point = np.array([0, r])
-    supports = [None if i < ell else two_point for i in range(n)]
+    neg = np.zeros((n, r + 1))
+    neg[ell:, 1:r] = -math.inf
     config = config or OptimizerConfig()
-    return _maximize(n, r, supports, config)
+    return _maximize(n, r, neg, config)
 
 
 def _grid_counts(resolution: int, r: int) -> np.ndarray:

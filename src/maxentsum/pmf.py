@@ -328,17 +328,21 @@ def write_pmf(p: PmfLike, destination) -> None:
 
 
 def read_pmf(source) -> Pmf:
-    """Read a pmf written by :func:`write_pmf` (or by hand, same format)."""
+    """Read a pmf written by :func:`write_pmf` (or by hand, same format) from
+    a path or from a text or binary file object.  The file must be ASCII; a
+    text object's characters are checked as their UTF-8 bytes."""
     if hasattr(source, "read"):
-        text = source.read()
+        data = source.read()
     else:
         with open(source, "rb") as fh:
             data = fh.read()
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise ValidationError(f"line {lineno}: non-ASCII byte {data[exc.start]:#04x}") from exc
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"line {lineno}: non-ASCII byte {data[exc.start]:#04x}") from exc
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

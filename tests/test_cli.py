@@ -427,6 +427,27 @@ class TestTolerance:
         assert code == 0
         assert [c.outer_tol for c in captured] == [1e-3]
 
+    def _run_without_settings(self, capsys, monkeypatch):
+        for name in ("MAXENT_STARTS", "MAXENT_SEED", "MAXENT_TOL"):
+            monkeypatch.delenv(name, raising=False)
+        assert run(capsys, "optimize", "--n", "1", "--r", "1")[0] == 0
+        assert run(capsys, "sweep", "--n-max", "1", "--r-max", "1", "--no-timing")[0] == 0
+
+    def test_unset_settings_take_the_config_defaults(self, capsys, captured, monkeypatch):
+        self._run_without_settings(capsys, monkeypatch)
+        assert captured == [OptimizerConfig()] * 2
+
+    def test_a_changed_config_default_reaches_the_cli(self, capsys, captured, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Changed(OptimizerConfig):
+            starts: int = 3
+            seed: int = 9
+            outer_tol: float = 1e-9
+
+        monkeypatch.setattr(cli, "OptimizerConfig", Changed)
+        self._run_without_settings(capsys, monkeypatch)
+        assert captured == [Changed()] * 2
+
 
 def _readme_commands():
     """Every ``maxentsum ...`` command line in the README's ``sh`` blocks."""

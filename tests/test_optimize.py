@@ -374,6 +374,28 @@ class TestExtrapolation:
         for before, after, free in jumped:
             assert (after[~free] == 0.0).all() and (after[before > 0.0] > ZERO_FLOOR).all()
 
+    def test_origin_is_the_sweep_start_from_the_first_sweep(self, monkeypatch):
+        # Extrapolating from sweep 1 on reads the origin of every row's first
+        # sweep, which must be its start blocks.
+        origins = []
+        original = optimize._Lockstep._extrapolate
+
+        def extrapolate(run, rows):
+            origins.extend(zip(run.ids[rows].tolist(), run.sweeps[rows].tolist(),
+                               run.origin[rows].copy()))
+            original(run, rows)
+
+        monkeypatch.setattr(optimize._Lockstep, "_extrapolate", extrapolate)
+        monkeypatch.setattr(optimize, "_XFROM", 1)
+        config = OptimizerConfig(starts=8, seed=201)
+        multistart_maximize(2, 4, config)
+        assert origins
+        for sid, sweeps, origin in origins:
+            np.testing.assert_allclose(origin.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            if sweeps == 1 and sid < config.starts:
+                start = optimize._random_start(np.zeros((2, 5)), config.seed, sid)
+                assert (origin == start).all()
+
     def test_steps_count_trials_and_are_pinned(self, cut_runs):
         cells = [cell for cell in CUT_CELLS if cell[:2] == (2, 4)]
         records = [rec for cell in cells for rec in cut_runs[cell].per_start]
@@ -493,9 +515,9 @@ class TestPinnedOutput:
         # Compaction filters exactly the arrays in ``_FIELDS``; a per-row array
         # left out of it would silently fall out of step with the live rows.
         n, r, rows = 3, 4, 7
-        supports = [None] * n
-        blocks = np.array([optimize._random_start(n, r, supports, 0, sid) for sid in range(rows)])
-        run = optimize._Lockstep(blocks, optimize._free_neg(supports, n, r + 1), 1e-12)
+        neg = np.zeros((n, r + 1))
+        blocks = np.array([optimize._random_start(neg, 0, sid) for sid in range(rows)])
+        run = optimize._Lockstep(blocks, neg, 1e-12)
         per_row = {name for name, value in vars(run).items()
                    if isinstance(value, np.ndarray) and value.ndim and len(value) == rows}
         by_start_id = {"out_blocks"}

@@ -368,6 +368,17 @@ class TestTextFormat:
         with pytest.raises(ValidationError, match=r"^line 2: non-ASCII byte 0xc3$"):
             read_pmf(path)
 
+    def test_non_ascii_text_object_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"^line 2: "):
+            read_pmf(io.StringIO("0.5\n0.5 # hé\n"))
+
+    def test_binary_file_object_parses(self):
+        assert read_pmf(io.BytesIO(b"0.5\n0.5\n")).probs.tolist() == [0.5, 0.5]
+
+    def test_non_ascii_byte_from_a_binary_object_reads_as_from_a_file(self):
+        with pytest.raises(ValidationError, match=r"^line 2: non-ASCII byte 0xc3$"):
+            read_pmf(io.BytesIO("0.5\n0.5 # hé\n".encode("utf-8")))
+
     def test_seventeen_digit_precision_survives(self):
         value = 1.0 / 3.0
         p = Pmf([value, 1.0 - value])
