@@ -74,58 +74,8 @@ from .ulc import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "BoundTerms",
-    "BudgetExceededError",
-    "DomainError",
-    "IdentityGap",
-    "MaxentsumError",
-    "NotASpecialCaseError",
-    "OptimizationResult",
-    "OptimizerConfig",
-    "Pmf",
-    "PreconditionError",
-    "ResidueDecomposition",
-    "StartRecord",
-    "SuiteReport",
-    "TernaryTriple",
-    "UlcClassReport",
-    "UlcReport",
-    "ValidationError",
-    "as_pmf",
-    "binary_entropy",
-    "binomial_half_entropy",
-    "block_ascend",
-    "bound_value_at",
-    "closed_form_special",
-    "conditional_ulc_report",
-    "conjectured_inputs",
-    "conjectured_weight",
-    "convolve",
-    "convolve_bernoulli_preserves",
-    "decomposition_suite",
-    "entropy",
-    "entropy_lower_bound",
-    "grid_oracle",
-    "has_internal_zeros",
-    "identity_gap",
-    "identity_suite",
-    "is_log_concave",
-    "is_ulc_infinite",
-    "is_ulc_order",
-    "mixture",
-    "multistart_maximize",
-    "objective_gradient",
-    "preserve_suite",
-    "random_ulc_sequences",
-    "read_pmf",
-    "residue_decompose",
-    "restricted_maximize",
-    "sign_lemma_check",
-    "sign_suite",
-    "sum_distribution",
-    "ternary_sum_masses",
-    "ulc_suite",
-    "write_pmf",
-]
+#: Every class and function imported above from a ``maxentsum`` module.
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if getattr(obj, "__module__", "").startswith(__name__ + ".")
+)

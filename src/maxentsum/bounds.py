@@ -83,10 +83,7 @@ class BoundReport:
     special_case: str
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["w0"] = float(d["w0"])
-        d["bound_bits"] = float(d["bound_bits"])
-        return d
+        return asdict(self)
 
 
 def _terms_at(w: float, n: int, r: int) -> BoundTerms:

@@ -35,7 +35,18 @@ CSV_HEADER = (
     "starts_used,converged_fraction,wall_time_ms"
 )
 
-SUITE_NAMES = ("ulc", "identity", "sign", "preserve", "decomposition")
+#: The settings each ``verify`` suite reads, with the CLI's default for each.
+SUITE_SETTINGS = {
+    "ulc": {"n": 2, "r": 2},
+    "identity": {},
+    "sign": {},
+    "preserve": {},
+    "decomposition": {"r": None},
+}
+SUITE_NAMES = tuple(SUITE_SETTINGS)
+
+#: ``sweep``'s default gap tolerance: a larger gap is a potential counterexample.
+SWEEP_GAP_TOL = 1e-6
 
 #: Type and help of every setting; ``bool`` settings are flags without a value.
 SETTINGS = {
@@ -58,7 +69,8 @@ SETTINGS = {
 #: Help for the settings whose meaning depends on the subcommand.
 _HELP = {
     ("optimize", "tol"): f"optimizer outer tolerance (default {OptimizerConfig.outer_tol:g})",
-    ("sweep", "tol"): "gap above which a cell is a potential counterexample (default 1e-6)",
+    ("sweep", "tol"): f"gap above which a cell is a potential counterexample "
+                      f"(default {SWEEP_GAP_TOL:g})",
     ("construct", "out"): "directory for the pmf files",
 }
 
@@ -108,6 +120,7 @@ def _parse_bool(text: str) -> bool:
 
 def _load_config(path: str) -> dict[str, str]:
     settings: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -116,6 +129,10 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise _UsageError(f"{path}: config key '{key}' is set twice, "
+                                  f"on lines {first_line[key]} and {lineno}")
+            first_line[key] = lineno
             settings[key] = value
     return settings
 
@@ -241,7 +258,7 @@ def _cmd_sweep(cfg: _Settings) -> int:
     r_max = cfg.get("r-max", required=True)
     check_count("--n-max", n_max, 1)
     check_count("--r-max", r_max, 1)
-    gap_tol = cfg.get("tol", default=1e-6)
+    gap_tol = cfg.get("tol", default=SWEEP_GAP_TOL)
     if not (math.isfinite(gap_tol) and gap_tol >= 0.0):
         raise DomainError(f"--tol must be a finite number >= 0, got {gap_tol!r}")
     no_timing = cfg.get("no-timing", default=False)
@@ -306,20 +323,14 @@ def _cmd_verify(cfg: _Settings) -> int:
     suite = cfg.get("suite", required=True)
     if suite not in SUITE_NAMES:
         raise _UsageError(f"unknown suite {suite!r}: use one of {', '.join(SUITE_NAMES)}")
-    reads = {"ulc": ("n", "r"), "decomposition": ("r",)}.get(suite, ())
-    for name in ("n", "r"):
+    reads = SUITE_SETTINGS[suite]
+    for name in sorted(set().union(*SUITE_SETTINGS.values())):
         if cfg.given(name) and name not in reads:
             raise _UsageError(f"suite {suite} does not read --{name}")
     trials = cfg.get("trials", default=10_000)
     seed = cfg.chosen(seed="seed")
-    if suite == "ulc":
-        report = suites.ulc_suite(
-            cfg.get("n", default=2), cfg.get("r", default=2), trials, **seed
-        )
-    elif suite == "decomposition":
-        report = suites.decomposition_suite(trials, r=cfg.get("r"), **seed)
-    else:
-        report = getattr(suites, f"{suite}_suite")(trials, **seed)
+    params = {name: cfg.get(name, default=default) for name, default in reads.items()}
+    report = getattr(suites, f"{suite}_suite")(trials=trials, **params, **seed)
     print(f"suite = {report.suite}")
     print(f"trials = {report.trials}")
     print(f"seed = {report.seed}")

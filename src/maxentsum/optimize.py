@@ -549,9 +549,11 @@ def _conjectured_start(n: int, r: int) -> list[np.ndarray]:
     return [base[-1]] + base[:-1]
 
 
-def _maximize(n: int, r: int, neg: np.ndarray, config: OptimizerConfig) -> OptimizationResult:
+def _maximize(n: int, r: int, neg: np.ndarray,
+              config: OptimizerConfig | None) -> OptimizationResult:
     """Run every start of a call; ``neg`` is the per-block mask, 0 on each
     block's free coordinates and ``-inf`` on its pinned ones."""
+    config = config or OptimizerConfig()
 
     def run(start_ids: list[int]) -> _Lockstep:
         blocks0 = np.array([
@@ -585,7 +587,6 @@ def multistart_maximize(n: int, r: int, config: OptimizerConfig | None = None) -
     A start's record does not depend on which other starts share the call.
     """
     _check_nr(n, r)
-    config = config or OptimizerConfig()
     return _maximize(n, r, np.zeros((n, r + 1)), config)
 
 
@@ -599,7 +600,6 @@ def restricted_maximize(
         raise DomainError(f"need 1 <= ell <= n, got ell = {ell!r}")
     neg = np.zeros((n, r + 1))
     neg[ell:, 1:r] = -math.inf
-    config = config or OptimizerConfig()
     return _maximize(n, r, neg, config)
 
 

@@ -16,11 +16,11 @@ THREADS_ENV = "MAXENT_THREADS"
 
 
 def thread_count() -> int:
-    """Worker cap from MAXENT_THREADS; 0 or unset picks the automatic value.
+    """Worker cap from MAXENT_THREADS; 0 or unset means 1.
 
-    The automatic value is 1: every job here is deterministic and
-    GIL-dominated, so threads only pay off when asked for explicitly.  Any
-    value other than a non-negative integer raises :class:`DomainError`.
+    Every job here is deterministic and GIL-dominated, so threads only pay
+    off when asked for explicitly.  Any value other than a non-negative
+    integer raises :class:`DomainError`.
     """
     raw = os.environ.get(THREADS_ENV, "").strip() or "0"
     if not raw.isdecimal():

@@ -230,6 +230,9 @@ class ResidueDecomposition:
         w = _prob_array(self.weights).copy()
         if w.size != self.r or len(self.conditionals) != self.r or len(self.degenerate) != self.r:
             raise ValidationError("need exactly r weights, conditionals and flags")
+        for j, cond in enumerate(self.conditionals):
+            if not isinstance(cond, Pmf):
+                raise ValidationError(f"conditional of class {j} is not a Pmf")
         _validate(w, nouns=("class weight", "class weights"))
         for j, (flag, wj) in enumerate(zip(self.degenerate, w)):
             if flag != (wj == 0.0):
@@ -315,16 +318,19 @@ def write_pmf(p: PmfLike, destination) -> None:
 
     The support index is implied by the order of value lines; ``#`` starts a
     comment.  Values are written with shortest round-trip precision, so a
-    read back reproduces the floats exactly.
+    read back reproduces the floats exactly.  ``destination`` is a path or a
+    text or binary file object.
     """
     pmf = as_pmf(p)
-    lines = [f"# pmf on {{0, ..., {pmf.m}}}\n"]
-    lines += [repr(float(x)) + "\n" for x in pmf.probs]
+    text = f"# pmf on {{0, ..., {pmf.m}}}\n" + "".join(f"{float(x)!r}\n" for x in pmf.probs)
     if hasattr(destination, "write"):
-        destination.writelines(lines)
+        try:
+            destination.write(text)
+        except TypeError:  # a binary file object takes bytes
+            destination.write(text.encode("ascii"))
     else:
         with open(destination, "w", encoding="ascii") as fh:
-            fh.writelines(lines)
+            fh.write(text)
 
 
 def read_pmf(source) -> Pmf:

@@ -21,10 +21,9 @@ from .parallel import ordered_map
 from .pmf import Pmf, _entropy_bits, convolve, mixture, residue_decompose
 from .ulc import (
     STRICTNESS,
-    _even_class_expansion,
-    _odd_class_expansion,
     certificate_sides,
     first_failures,
+    identity_sides,
     margin_verdicts,
     random_ulc_sequences,
     residue_classes,
@@ -159,23 +158,20 @@ def identity_suite(trials: int, seed: int = 0) -> SuiteReport:
         factors = [rng.dirichlet(np.ones(3), size=size) for _ in range(3)]
         tensor = np.einsum("ti,tj,tk->tijk", *factors)
         masses = ternary_sum_masses(tensor)
-        lhs_even, lhs_odd = certificate_sides(masses)
-        rhs_even = _even_class_expansion(tensor)
-        rhs_odd = _odd_class_expansion(tensor)
+        sides = identity_sides(tensor, masses)
         scale = masses.max(axis=1) ** 2
         tol = 1e-12 * scale
         ids = offset + np.arange(size)
         violations: list[dict] = []
-        for kind, lhs, rhs in (("even", lhs_even, rhs_even), ("odd", lhs_odd, rhs_odd)):
+        for kind, (lhs, rhs) in sides.items():
             violations += _witnesses(
                 ids, np.abs(lhs - rhs) > tol, kind=kind, lhs=lhs, rhs=rhs, factors=factors
             )
+        rhs_even = sides["even"][1]
         violations += _witnesses(
             ids, rhs_even < 0.0, kind="even_negative", rhs=rhs_even, factors=factors
         )
-        rel = np.maximum(
-            np.abs(lhs_even - rhs_even) / scale, np.abs(lhs_odd - rhs_odd) / scale
-        )
+        rel = np.maximum(*(np.abs(lhs - rhs) / scale for lhs, rhs in sides.values()))
         stats = {"max_relative_gap": float(rel.max()), "min_even_expansion": float(rhs_even.min())}
         return violations, stats
 

@@ -312,6 +312,17 @@ def certificate_sides(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def identity_sides(values: np.ndarray, masses: np.ndarray) -> dict[str, tuple]:
+    """``{"even": (direct, expansion), "odd": (direct, expansion)}`` for
+    (..., 3, 3, 3) triples ``values`` with sum masses ``masses`` (..., 7),
+    batched over the leading axes; each direct side is paired once, here."""
+    even, odd = certificate_sides(masses)
+    return {
+        "even": (even, _even_class_expansion(values)),
+        "odd": (odd, _odd_class_expansion(values)),
+    }
+
+
 def identity_gap(which: str, x: TernaryTriple) -> IdentityGap:
     """Direct and expanded evaluations of one certificate quantity.
 
@@ -323,13 +334,10 @@ def identity_gap(which: str, x: TernaryTriple) -> IdentityGap:
     """
     if not isinstance(x, TernaryTriple):
         x = TernaryTriple.from_values(x)
-    even, odd = certificate_sides(x.sum_masses())
-    if which == "even":
-        lhs, rhs = even, _even_class_expansion(x.values)
-    elif which == "odd":
-        lhs, rhs = odd, _odd_class_expansion(x.values)
-    else:
+    sides = identity_sides(x.values, x.sum_masses())
+    if which not in sides:
         raise DomainError(f"unknown identity {which!r}: use 'even' or 'odd'")
+    lhs, rhs = sides[which]
     return IdentityGap(lhs=float(lhs), rhs=float(rhs))
 
 

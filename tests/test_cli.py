@@ -465,6 +465,13 @@ def test_readme_command_parses(line):
     _build_parser().parse_args(shlex.split(line, comments=True))
 
 
+def test_readme_settings_table_matches_the_parser():
+    """The README's Settings table lists exactly each subcommand's settings."""
+    rows = re.findall(r"^\| `([a-z]+)` +\| (`.*`) +\|$", README.read_text(encoding="utf-8"), re.M)
+    table = {command: tuple(re.findall(r"`([-\w]+)`", cells)) for command, cells in rows}
+    assert table == COMMAND_SETTINGS
+
+
 class TestSettingsPrecedence:
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         config = tmp_path / "run.conf"
@@ -489,6 +496,13 @@ class TestSettingsPrecedence:
         code, out, _ = run(capsys, "bound", "--config", str(config))
         assert code == 0
         assert "bound_bits = 2\n" in out
+
+    def test_repeated_config_key_is_usage_error_naming_both_lines(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("n = 2\nr = 3\n# again\nn = 3\n")
+        code, out, err = run(capsys, "bound", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "'n'" in err and "lines 1 and 4" in err
 
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"

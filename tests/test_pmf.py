@@ -379,6 +379,14 @@ class TestTextFormat:
         with pytest.raises(ValidationError, match=r"^line 2: non-ASCII byte 0xc3$"):
             read_pmf(io.BytesIO("0.5\n0.5 # hé\n".encode("utf-8")))
 
+    def test_binary_file_object_roundtrip(self):
+        value = 1.0 / 3.0
+        buffer = io.BytesIO()
+        write_pmf([value, 1.0 - value], buffer)
+        assert buffer.getvalue().isascii()
+        buffer.seek(0)
+        assert read_pmf(buffer).probs.tolist() == [value, 1.0 - value]
+
     def test_seventeen_digit_precision_survives(self):
         value = 1.0 / 3.0
         p = Pmf([value, 1.0 - value])
@@ -408,6 +416,12 @@ class TestNonFiniteWeights:
         with pytest.raises(ValidationError, match="invalid class weight nan at index 0"):
             ResidueDecomposition(
                 r=2, weights=[math.nan, 1.0], conditionals=(q, q), degenerate=(False, False)
+            )
+
+    def test_decomposition_rejects_a_conditional_that_is_not_a_pmf(self):
+        with pytest.raises(ValidationError, match="conditional of class 0 is not a Pmf"):
+            ResidueDecomposition(
+                r=2, weights=[0.5, 0.5], conditionals=([1.0], [1.0]), degenerate=(False, False)
             )
 
     def test_mixture_rejects_nan_weight(self):
