@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from .kernels import (
     toeplitz_rows,
 )
 from .parallel import ordered_map
-from .pmf import LOG2E, ZERO_FLOOR, Pmf, _entropy_bits, _finalize, _summands
+from .pmf import LOG2E, ZERO_FLOOR, Pmf, _entropy_bits, _finalize, _fold, _summands
 
 #: Hard cap on ordered grid tuples enumerated by the grid oracle.
 GRID_BUDGET = 100_000_000
@@ -124,7 +125,8 @@ class OptimizerConfig:
     def __post_init__(self):
         check_count("starts", self.starts, 1)
         check_count("seed", self.seed, 0)
-        if not (math.isfinite(self.outer_tol) and self.outer_tol > 0.0):
+        real = isinstance(self.outer_tol, numbers.Real) and not isinstance(self.outer_tol, bool)
+        if not (real and math.isfinite(self.outer_tol) and self.outer_tol > 0.0):
             raise DomainError(f"outer_tol must be a finite number > 0, got {self.outer_tol!r}")
 
 
@@ -699,9 +701,6 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     # all heads passes the screen, and the result is that maximum.
     best = -math.inf
     for head in _near_best_heads(counts, n, _ORACLE_SLACK * resolution**n):
-        partial = grid[head[0]]
-        for idx in head[1:]:
-            partial = np.convolve(partial, grid[idx])
-        sums = conv_rows(partial[None, :], grid[head[-1] :])
+        sums = conv_rows(_fold(grid[head])[None, :], grid[head[-1] :])
         best = max(best, float(entropy_rows(sums, log2_rows(sums)).max()) + 0.0)
     return best

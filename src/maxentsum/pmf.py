@@ -9,6 +9,7 @@ share between threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -98,7 +99,7 @@ class Pmf:
     @classmethod
     def _unchecked(cls, arr: np.ndarray) -> "Pmf":
         # Private: freeze a fresh array without validating it.  Besides
-        # ``_adopt``, only the all-zero conditionals of degenerate residue
+        # ``_adopt``, only the all-zero conditionals of empty residue
         # classes take this path.
         self = object.__new__(cls)
         arr.flags.writeable = False
@@ -151,6 +152,8 @@ def _finalize(raw: np.ndarray, context: str) -> Pmf:
     total = float(np.add.reduce(raw))
     drift = abs(total - 1.0)
     if drift > RENORMALIZE_DRIFT:
+        if total == 0.0:
+            raise ValidationError(f"{context} output sums to 0.0 and cannot be normalized")
         logger.debug("renormalizing %s output, drift %.3e", context, drift)
         return Pmf._adopt(raw / total)
     return Pmf._adopt(raw, total)
@@ -182,9 +185,7 @@ def convolve(p: PmfLike, q: PmfLike) -> Pmf:
 
     Support is {0, ..., m_p + m_q} and entry s equals sum_a p_a q_{s-a}.
     """
-    a = as_pmf(p).probs
-    b = as_pmf(q).probs
-    return _finalize(np.convolve(a, b), "convolve")
+    return _finalize(np.convolve(as_pmf(p).probs, as_pmf(q).probs), "convolve")
 
 
 def _summands(inputs: Iterable[PmfLike], caller: str) -> list[Pmf]:
@@ -204,10 +205,38 @@ def sum_distribution(inputs: Iterable[PmfLike]) -> Pmf:
     :func:`convolve` with support {0, ..., n*r}.
     """
     pmfs = _summands(inputs, "sum_distribution")
-    acc = pmfs[0].probs.copy()  # _finalize keeps the array it is given
-    for p in pmfs[1:]:
-        acc = np.convolve(acc, p.probs)
-    return _finalize(acc, "sum_distribution")
+    return _finalize(_fold([p.probs for p in pmfs]), "sum_distribution")
+
+
+def _fold(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Left fold of ``np.convolve`` over 1-d arrays, as a fresh array."""
+    return functools.reduce(np.convolve, arrays[1:], arrays[0].copy())
+
+
+def _check_classes(r: int, w: np.ndarray, laws: Sequence[Pmf], classes: Sequence[int]) -> int:
+    """Check that a class has weight exactly when its law has mass and that each
+    class j in ``classes`` fills {0, ..., m}, m the last position they reach."""
+    for j, (wj, law) in enumerate(zip(w.tolist(), laws)):
+        if (wj > 0.0) != bool(np.count_nonzero(law.probs)):
+            has = "no mass" if wj > 0.0 else "mass"
+            raise ValidationError(f"class {j} has weight {wj!r} but its law has {has}")
+    m = max((laws[j].probs.size - 1) * r + j for j in classes)
+    for j in classes:
+        if laws[j].probs.size != (m - j) // r + 1:
+            raise DomainError(
+                f"conditional lengths are inconsistent: class {j} has {laws[j].probs.size} "
+                f"entries but the implied support is {{0, ..., {m}}}"
+            )
+    return m
+
+
+def _assemble(r: int, w: np.ndarray, laws: Sequence[Pmf], classes, context: str) -> Pmf:
+    """``w[j] * laws[j]`` at the positions k*r + j of {0, ..., m}, m from ``classes``."""
+    out = np.zeros(_check_classes(r, w, laws, classes) + 1)
+    for j, (wj, law) in enumerate(zip(w.tolist(), laws)):
+        if wj > 0.0:
+            out[j : j + r * law.probs.size : r] = wj * law.probs
+    return _finalize(out, context)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,43 +244,37 @@ class ResidueDecomposition:
     """Split of a pmf into the conditional laws of its residue classes mod r.
 
     ``weights[j]`` is P(S = j mod r) and ``conditionals[j].probs[k]`` is
-    P(S = k*r + j | S = j mod r).  A class of weight zero keeps an all-zero
-    conditional (never renormalized) and is flagged degenerate; its entropy
-    is taken as 0 in the decomposition identity.
+    P(S = k*r + j | S = j mod r).  A class of weight zero is ``degenerate``
+    and keeps an all-zero conditional (never renormalized); its entropy is
+    taken as 0 in the decomposition identity.
     """
 
     r: int
     weights: np.ndarray
     conditionals: tuple[Pmf, ...]
-    degenerate: tuple[bool, ...]
 
     def __post_init__(self):
         check_count("modulus", self.r, 1)
         w = _prob_array(self.weights).copy()
-        if w.size != self.r or len(self.conditionals) != self.r or len(self.degenerate) != self.r:
-            raise ValidationError("need exactly r weights, conditionals and flags")
-        for j, cond in enumerate(self.conditionals):
+        conds = tuple(self.conditionals)
+        if w.size != self.r or len(conds) != self.r:
+            raise ValidationError("need exactly r weights and conditionals")
+        for j, cond in enumerate(conds):
             if not isinstance(cond, Pmf):
                 raise ValidationError(f"conditional of class {j} is not a Pmf")
         _validate(w, nouns=("class weight", "class weights"))
-        for j, (flag, wj) in enumerate(zip(self.degenerate, w)):
-            if flag != (wj == 0.0):
-                raise ValidationError(f"degenerate flag of class {j} contradicts its weight")
+        _check_classes(self.r, w, conds, range(self.r))
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "conditionals", conds)
+
+    @property
+    def degenerate(self) -> tuple[bool, ...]:
+        return tuple(bool(wj == 0.0) for wj in self.weights)
 
     def reassemble(self) -> Pmf:
-        """Rebuild the source pmf as sum_j weights[j] * conditionals[j] re-indexed."""
-        m = max(
-            (len(c) - 1) * self.r + j
-            for j, c in enumerate(self.conditionals)
-            if len(c) > 0
-        )
-        out = np.zeros(m + 1)
-        for j, (wj, cond) in enumerate(zip(self.weights, self.conditionals)):
-            if wj > 0.0:
-                out[j : j + self.r * len(cond) : self.r] = wj * cond.probs
-        return _finalize(out, "reassemble")
+        """Rebuild the source pmf, trailing zeros included: every class sets m."""
+        return _assemble(self.r, self.weights, self.conditionals, range(self.r), "reassemble")
 
 
 def residue_decompose(p: PmfLike, r: int) -> ResidueDecomposition:
@@ -265,29 +288,19 @@ def residue_decompose(p: PmfLike, r: int) -> ResidueDecomposition:
     pmf = as_pmf(p)
     weights = np.empty(r)
     conds: list[Pmf] = []
-    degen: list[bool] = []
     for j in range(r):
         cls = pmf.probs[j::r]
-        wj = float(np.add.reduce(cls))
-        weights[j] = wj
-        if wj > 0.0:
-            conds.append(_finalize(cls / wj, "residue conditional"))
-            degen.append(False)
-        else:
-            conds.append(Pmf._unchecked(np.zeros(cls.size)))
-            degen.append(True)
-    return ResidueDecomposition(
-        r=r, weights=weights, conditionals=tuple(conds), degenerate=tuple(degen)
-    )
+        wj = weights[j] = float(np.add.reduce(cls))
+        conds.append(
+            _finalize(cls / wj, "residue conditional") if wj > 0.0
+            else Pmf._unchecked(np.zeros(cls.size))
+        )
+    return ResidueDecomposition(r=r, weights=weights, conditionals=conds)
 
 
 def mixture(conditionals: Sequence[PmfLike], weights: Sequence[float], r: int) -> Pmf:
-    """Inverse of :func:`residue_decompose`.
-
-    Class j of the result carries mass ``weights[j] * conditionals[j]`` at the
-    positions k*r + j.  Conditional lengths must be mutually consistent with a
-    single support {0, ..., m}; classes of weight zero are ignored.
-    """
+    """Inverse of :func:`residue_decompose`, by the rule of ``reassemble``, except
+    that only the classes of positive weight set the support {0, ..., m}."""
     check_count("modulus", r, 1)
     r = int(r)
     conds = list(conditionals)
@@ -295,22 +308,8 @@ def mixture(conditionals: Sequence[PmfLike], weights: Sequence[float], r: int) -
     if len(conds) != r or w.size != r:
         raise DomainError(f"expected exactly {r} weights and {r} conditionals")
     _validate(w, nouns=("weight", "weights"))
-
-    arrays: dict[int, np.ndarray] = {}
-    for j in range(r):
-        if w[j] > 0.0:
-            arrays[j] = as_pmf(conds[j]).probs
-    m = max((arr.size - 1) * r + j for j, arr in arrays.items())
-    for j, arr in arrays.items():
-        if arr.size != (m - j) // r + 1:
-            raise DomainError(
-                f"conditional lengths are inconsistent: class {j} has {arr.size} "
-                f"entries but the implied support is {{0, ..., {m}}}"
-            )
-    out = np.zeros(m + 1)
-    for j, arr in arrays.items():
-        out[j : j + r * arr.size : r] = w[j] * arr
-    return _finalize(out, "mixture")
+    laws = [as_pmf(c) for c in conds]
+    return _assemble(r, w, laws, [j for j in range(r) if w[j] > 0.0], "mixture")
 
 
 def write_pmf(p: PmfLike, destination) -> None:

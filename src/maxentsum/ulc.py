@@ -47,17 +47,21 @@ def _slack(arr: np.ndarray) -> np.ndarray | float:
     return SLACK_COEFF * arr.max(axis=-1) ** 2
 
 
+def _margins(arr: np.ndarray, a, b) -> np.ndarray:
+    """a_i u_i^2 - b_i u_{i-1} u_{i+1} at each interior index i of each row."""
+    return a * arr[..., 1:-1] ** 2 - b * arr[..., :-2] * arr[..., 2:]
+
+
 def log_concavity_margins(u) -> np.ndarray:
     """u_i^2 - u_{i-1} u_{i+1} at each interior index (broadcasts over rows)."""
-    arr = _nonneg_array(u)
-    return arr[..., 1:-1] ** 2 - arr[..., :-2] * arr[..., 2:]
+    return _margins(_nonneg_array(u), 1.0, 1.0)
 
 
 def ulc_inf_margins(u) -> np.ndarray:
     """i u_i^2 - (i+1) u_{i-1} u_{i+1} at each interior index."""
     arr = _nonneg_array(u)
     i = np.arange(1, arr.shape[-1] - 1, dtype=float)
-    return i * arr[..., 1:-1] ** 2 - (i + 1) * arr[..., :-2] * arr[..., 2:]
+    return _margins(arr, i, i + 1)
 
 
 def ulc_order_margins(u, order: int) -> np.ndarray:
@@ -74,9 +78,7 @@ def ulc_order_margins(u, order: int) -> np.ndarray:
             f"of order {order} (needs length <= {order + 1})"
         )
     i = np.arange(1, arr.shape[-1] - 1, dtype=float)
-    lhs = i * (order - i) * arr[..., 1:-1] ** 2
-    rhs = (i + 1) * (order - i + 1) * arr[..., :-2] * arr[..., 2:]
-    return lhs - rhs
+    return _margins(arr, i * (order - i), (i + 1) * (order - i + 1))
 
 
 def margin_verdicts(margins: np.ndarray, seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

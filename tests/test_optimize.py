@@ -78,7 +78,7 @@ class TestOptimizerConfig:
         with pytest.raises(DomainError):
             OptimizerConfig(**kwargs)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan, True, "1e-3"])
     def test_outer_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(DomainError, match=r"^outer_tol must be a finite number > 0, got "):
             OptimizerConfig(outer_tol=tol)

@@ -298,6 +298,69 @@ class TestMixture:
             mixture([Pmf.uniform(1), Pmf.uniform(1)], [0.9, 0.3], 2)
 
 
+class TestResidueClassRules:
+    """``reassemble`` and ``mixture`` share one assembly rule: a class has
+    weight exactly when its law has mass, and class lengths fill one support."""
+
+    def test_empty_class_with_a_law_is_rejected(self):
+        with pytest.raises(ValidationError, match="^class 1 has weight 0.0 but its law has mass$"):
+            ResidueDecomposition(
+                r=2, weights=[1.0, 0.0], conditionals=(Pmf([1.0]), Pmf([0.5, 0.5]))
+            )
+
+    def test_inconsistent_lengths_are_rejected_at_construction(self):
+        conds = (Pmf([1.0]), Pmf([0.5, 0.5]))
+        message = (
+            "conditional lengths are inconsistent: class 0 has 1 entries but the implied "
+            "support is {0, ..., 3}"
+        )
+        with pytest.raises(DomainError) as built:
+            ResidueDecomposition(r=2, weights=[0.5, 0.5], conditionals=conds)
+        with pytest.raises(DomainError) as mixed:
+            mixture(conds, [0.5, 0.5], 2)
+        assert str(built.value) == str(mixed.value) == message
+
+    def test_mixture_rejects_weight_on_an_empty_class(self):
+        z = residue_decompose([1.0, 0.0, 0.0], 3)
+        with pytest.raises(ValidationError, match="^class 1 has weight 0.5 but its law has no mass$"):
+            mixture(z.conditionals, [0.5, 0.5, 0.0], 3)
+
+    def test_mixture_rejects_a_law_on_an_unweighted_class(self):
+        with pytest.raises(ValidationError, match="^class 1 has weight 0.0 but its law has mass$"):
+            mixture([Pmf.uniform(1), Pmf.uniform(1)], [1.0, 0.0], 2)
+
+    def test_trailing_zeros_survive_reassembly_only(self):
+        # Every class sets the support of reassemble; only weighted classes
+        # set the support of mixture.
+        z = residue_decompose([1.0, 0.0, 0.0, 0.0], 2)
+        assert z.reassemble().probs.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert mixture(z.conditionals, z.weights, 2).probs.tolist() == [1.0, 0.0, 0.0]
+
+    def test_degenerate_is_derived_from_the_weights(self):
+        rng = np.random.default_rng(18)
+        for _ in range(500):
+            r, probs = random_case(rng)
+            if not isinstance(outcome(Pmf, probs), bytes):
+                continue
+            dec = residue_decompose(probs, r)
+            assert dec.degenerate == tuple(bool(w == 0.0) for w in dec.weights)
+        with pytest.raises(TypeError):
+            ResidueDecomposition(r=1, weights=[1.0], conditionals=(_P3,), degenerate=(False,))
+
+    def test_conditionals_are_stored_as_a_tuple(self):
+        conds = [Pmf.uniform(1), Pmf.uniform(1)]
+        dec = ResidueDecomposition(r=2, weights=[0.5, 0.5], conditionals=conds)
+        conds.append(Pmf.uniform(1))
+        assert isinstance(dec.conditionals, tuple) and len(dec.conditionals) == 2
+
+    def test_empty_class_law_has_no_mass_to_normalize(self):
+        empty = residue_decompose([1.0, 0.0, 0.0], 3).conditionals[1]
+        with pytest.raises(ValidationError, match="^convolve output sums to 0.0 and cannot be"):
+            convolve(empty, [1.0])
+        with pytest.raises(ValidationError, match="^sum_distribution output sums to 0.0 "):
+            sum_distribution([empty])
+
+
 class TestEntropyDecompositionIdentity:
     def test_identity_holds(self):
         rng = np.random.default_rng(42)
@@ -415,13 +478,13 @@ class TestNonFiniteWeights:
         q = Pmf.uniform(1)
         with pytest.raises(ValidationError, match="invalid class weight nan at index 0"):
             ResidueDecomposition(
-                r=2, weights=[math.nan, 1.0], conditionals=(q, q), degenerate=(False, False)
+                r=2, weights=[math.nan, 1.0], conditionals=(q, q)
             )
 
     def test_decomposition_rejects_a_conditional_that_is_not_a_pmf(self):
         with pytest.raises(ValidationError, match="conditional of class 0 is not a Pmf"):
             ResidueDecomposition(
-                r=2, weights=[0.5, 0.5], conditionals=([1.0], [1.0]), degenerate=(False, False)
+                r=2, weights=[0.5, 0.5], conditionals=([1.0], [1.0])
             )
 
     def test_mixture_rejects_nan_weight(self):
@@ -443,7 +506,7 @@ def _integer_case(name, call, value, least):
 
 
 def _decomposition(r):
-    return ResidueDecomposition(r=r, weights=[1.0], conditionals=(_P3,), degenerate=(False,))
+    return ResidueDecomposition(r=r, weights=[1.0], conditionals=(_P3,))
 
 
 def _mixture(r):
