@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, MaxentsumError, NotASpecialCaseError, check_count
+from .errors import DomainError, MaxentsumError, NotASpecialCaseError, check_count, is_real
 from .pmf import Pmf, binary_entropy
 
 #: Above this n, log2 of binomial coefficients is taken via lgamma instead of
@@ -88,15 +88,15 @@ class BoundReport:
 
 def _terms_at(w: float, n: int, r: int) -> BoundTerms:
     _check_nr(n, r)
-    w = float(w)
+    real = is_real(w)
     hn = binomial_half_entropy(n)
     if r == 1:
         # The r = 1 branch is explicit: only w = 1 is admissible and the
         # (1 - w) * log2(r - 1) term is read as 0.
-        if w != 1.0:
+        if not (real and w == 1.0):
             raise DomainError("r = 1 admits only the weight w = 1")
         return BoundTerms(binomial_term=hn, shifted_term=0.0, weight_entropy=0.0)
-    if not 0.0 < w <= 1.0:
+    if not (real and 0.0 < (w := float(w)) <= 1.0):
         raise DomainError(f"weight must lie in (0, 1], got {w!r}")
     hn1 = binomial_half_entropy(n - 1)
     return BoundTerms(

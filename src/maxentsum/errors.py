@@ -27,6 +27,11 @@ class BudgetExceededError(MaxentsumError, RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
+def is_real(value) -> bool:
+    """True when ``value`` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, least: int) -> None:
     """Raise :class:`DomainError` unless ``value`` is an integer >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:

@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bounds import _check_nr, conjectured_inputs, entropy_lower_bound
-from .errors import BudgetExceededError, DomainError, MaxentsumError, check_count
+from .errors import BudgetExceededError, DomainError, MaxentsumError, check_count, is_real
 from .kernels import (
     conv_rows,
     entropy_rows,
@@ -125,8 +124,7 @@ class OptimizerConfig:
     def __post_init__(self):
         check_count("starts", self.starts, 1)
         check_count("seed", self.seed, 0)
-        real = isinstance(self.outer_tol, numbers.Real) and not isinstance(self.outer_tol, bool)
-        if not (real and math.isfinite(self.outer_tol) and self.outer_tol > 0.0):
+        if not (is_real(self.outer_tol) and math.isfinite(self.outer_tol) and self.outer_tol > 0.0):
             raise DomainError(f"outer_tol must be a finite number > 0, got {self.outer_tol!r}")
 
 

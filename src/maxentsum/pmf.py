@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_count
+from .errors import DomainError, ValidationError, check_count, is_real
 
 logger = logging.getLogger(__name__)
 
@@ -170,8 +170,7 @@ def entropy(p: PmfLike) -> float:
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2 (1-p) for p in [0, 1]."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
+    if not (is_real(p) and 0.0 <= (p := float(p)) <= 1.0):
         raise DomainError(f"binary entropy needs p in [0, 1], got {p!r}")
 
     def term(x: float) -> float:
@@ -213,32 +212,6 @@ def _fold(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.convolve, arrays[1:], arrays[0].copy())
 
 
-def _check_classes(r: int, w: np.ndarray, laws: Sequence[Pmf], classes: Sequence[int]) -> int:
-    """Check that a class has weight exactly when its law has mass and that each
-    class j in ``classes`` fills {0, ..., m}, m the last position they reach."""
-    for j, (wj, law) in enumerate(zip(w.tolist(), laws)):
-        if (wj > 0.0) != bool(np.count_nonzero(law.probs)):
-            has = "no mass" if wj > 0.0 else "mass"
-            raise ValidationError(f"class {j} has weight {wj!r} but its law has {has}")
-    m = max((laws[j].probs.size - 1) * r + j for j in classes)
-    for j in classes:
-        if laws[j].probs.size != (m - j) // r + 1:
-            raise DomainError(
-                f"conditional lengths are inconsistent: class {j} has {laws[j].probs.size} "
-                f"entries but the implied support is {{0, ..., {m}}}"
-            )
-    return m
-
-
-def _assemble(r: int, w: np.ndarray, laws: Sequence[Pmf], classes, context: str) -> Pmf:
-    """``w[j] * laws[j]`` at the positions k*r + j of {0, ..., m}, m from ``classes``."""
-    out = np.zeros(_check_classes(r, w, laws, classes) + 1)
-    for j, (wj, law) in enumerate(zip(w.tolist(), laws)):
-        if wj > 0.0:
-            out[j : j + r * law.probs.size : r] = wj * law.probs
-    return _finalize(out, context)
-
-
 @dataclass(frozen=True, eq=False)
 class ResidueDecomposition:
     """Split of a pmf into the conditional laws of its residue classes mod r.
@@ -246,7 +219,9 @@ class ResidueDecomposition:
     ``weights[j]`` is P(S = j mod r) and ``conditionals[j].probs[k]`` is
     P(S = k*r + j | S = j mod r).  A class of weight zero is ``degenerate``
     and keeps an all-zero conditional (never renormalized); its entropy is
-    taken as 0 in the decomposition identity.
+    taken as 0 in the decomposition identity.  Construction checks the class
+    rules: a class has weight exactly when its law has mass, and the class
+    lengths fill one support {0, ..., m}.
     """
 
     r: int
@@ -263,7 +238,17 @@ class ResidueDecomposition:
             if not isinstance(cond, Pmf):
                 raise ValidationError(f"conditional of class {j} is not a Pmf")
         _validate(w, nouns=("class weight", "class weights"))
-        _check_classes(self.r, w, conds, range(self.r))
+        for j, (wj, law) in enumerate(zip(w.tolist(), conds)):
+            if (wj > 0.0) != bool(np.count_nonzero(law.probs)):
+                has = "no mass" if wj > 0.0 else "mass"
+                raise ValidationError(f"class {j} has weight {wj!r} but its law has {has}")
+        m = max((law.probs.size - 1) * self.r + j for j, law in enumerate(conds))
+        for j, law in enumerate(conds):
+            if law.probs.size != (m - j) // self.r + 1:
+                raise DomainError(
+                    f"conditional lengths are inconsistent: class {j} has {law.probs.size} "
+                    f"entries but the implied support is {{0, ..., {m}}}"
+                )
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "conditionals", conds)
@@ -273,8 +258,13 @@ class ResidueDecomposition:
         return tuple(bool(wj == 0.0) for wj in self.weights)
 
     def reassemble(self) -> Pmf:
-        """Rebuild the source pmf, trailing zeros included: every class sets m."""
-        return _assemble(self.r, self.weights, self.conditionals, range(self.r), "reassemble")
+        """Rebuild the source pmf, trailing zeros included: class j at k*r + j."""
+        # Construction checked that the classes fill {0, ..., m}, so their
+        # lengths sum to m + 1.
+        out = np.zeros(sum(law.probs.size for law in self.conditionals))
+        for j, (wj, law) in enumerate(zip(self.weights.tolist(), self.conditionals)):
+            out[j::self.r] = wj * law.probs
+        return _finalize(out, "reassemble")
 
 
 def residue_decompose(p: PmfLike, r: int) -> ResidueDecomposition:
@@ -299,17 +289,11 @@ def residue_decompose(p: PmfLike, r: int) -> ResidueDecomposition:
 
 
 def mixture(conditionals: Sequence[PmfLike], weights: Sequence[float], r: int) -> Pmf:
-    """Inverse of :func:`residue_decompose`, by the rule of ``reassemble``, except
-    that only the classes of positive weight set the support {0, ..., m}."""
-    check_count("modulus", r, 1)
-    r = int(r)
-    conds = list(conditionals)
-    w = _prob_array(weights)
-    if len(conds) != r or w.size != r:
-        raise DomainError(f"expected exactly {r} weights and {r} conditionals")
-    _validate(w, nouns=("weight", "weights"))
-    laws = [as_pmf(c) for c in conds]
-    return _assemble(r, w, laws, [j for j in range(r) if w[j] > 0.0], "mixture")
+    """Inverse of :func:`residue_decompose`: the classes reassembled by
+    :meth:`ResidueDecomposition.reassemble`, after the same checks."""
+    return ResidueDecomposition(
+        r=r, weights=weights, conditionals=tuple(as_pmf(c) for c in conditionals)
+    ).reassemble()
 
 
 def write_pmf(p: PmfLike, destination) -> None:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, check_count
+from .errors import DomainError, PreconditionError, check_count, is_real
 from .pmf import Pmf, PmfLike, as_pmf, sum_distribution
 
 #: :func:`margin_verdicts` passes a row whose least margin is
@@ -218,8 +218,7 @@ class TernaryTriple:
         arr = np.asarray(self.values, dtype=float).copy()
         if arr.shape != (3, 3, 3):
             raise DomainError(f"expected shape (3, 3, 3), got {arr.shape}")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise DomainError("entries must be finite and non-negative")
+        _nonneg_array(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -389,8 +388,7 @@ def convolve_bernoulli_preserves(u, order: int, q: float) -> bool:
     be True always.
     """
     arr = _sequence(u, "convolve_bernoulli_preserves")
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
+    if not (is_real(q) and 0.0 <= (q := float(q)) <= 1.0):
         raise DomainError(f"Bernoulli weight must lie in [0, 1], got {q!r}")
     if not is_ulc_order(arr, order):
         raise PreconditionError(f"input sequence is not ultra-log-concave of order {order}")

@@ -149,6 +149,11 @@ class TestBoundValueAt:
             bound_value_at(1.1, 2, 3)
         with pytest.raises(DomainError):
             bound_value_at(0.5, 2, 1)  # r = 1 admits only w = 1
+        for bad in (True, "0.5"):  # a bool or a string is no weight
+            with pytest.raises(DomainError, match=r"^weight must lie in \(0, 1\], got "):
+                bound_value_at(bad, 2, 3)
+            with pytest.raises(DomainError, match="^r = 1 admits only the weight w = 1$"):
+                bound_value_at(bad, 2, 1)
 
 
 class TestEntropyLowerBound:

@@ -472,6 +472,13 @@ def test_readme_settings_table_matches_the_parser():
     assert table == COMMAND_SETTINGS
 
 
+def test_readme_package_layout_lists_every_module():
+    """The README's Package layout table lists exactly the package's modules."""
+    rows = re.findall(r"^\| `maxentsum\.(\w+)` +\|", README.read_text(encoding="utf-8"), re.M)
+    modules = {path.stem for path in (README.parent / "src" / "maxentsum").glob("*.py")}
+    assert sorted(rows) == sorted(modules - {"__init__"})
+
+
 class TestSettingsPrecedence:
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

@@ -120,9 +120,9 @@ class TestBinaryEntropy:
         w = math.sqrt(2) / (1 + math.sqrt(2))
         assert binary_entropy(w) == pytest.approx(0.9786600843501594, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), True, "0.5"])
     def test_domain(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^binary entropy needs p in \[0, 1\], got "):
             binary_entropy(bad)
 
 
@@ -286,7 +286,7 @@ class TestMixture:
         assert worst < 1e-12
 
     def test_count_mismatch(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="^need exactly r weights and conditionals$"):
             mixture([Pmf.uniform(1)], [0.5, 0.5], 2)
 
     def test_incompatible_lengths(self):
@@ -299,8 +299,9 @@ class TestMixture:
 
 
 class TestResidueClassRules:
-    """``reassemble`` and ``mixture`` share one assembly rule: a class has
-    weight exactly when its law has mass, and class lengths fill one support."""
+    """``mixture`` is a ``ResidueDecomposition`` reassembled, so both are held to
+    one set of class rules: a class has weight exactly when its law has mass,
+    and class lengths fill one support."""
 
     def test_empty_class_with_a_law_is_rejected(self):
         with pytest.raises(ValidationError, match="^class 1 has weight 0.0 but its law has mass$"):
@@ -319,6 +320,15 @@ class TestResidueClassRules:
         with pytest.raises(DomainError) as mixed:
             mixture(conds, [0.5, 0.5], 2)
         assert str(built.value) == str(mixed.value) == message
+        # An empty class's all-zero law from another decomposition still sets m.
+        a = residue_decompose([0.5, 0.5], 2)
+        b = residue_decompose([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 2)
+        conds = (a.conditionals[0], b.conditionals[1])
+        with pytest.raises(DomainError) as built:
+            ResidueDecomposition(r=2, weights=[1.0, 0.0], conditionals=conds)
+        with pytest.raises(DomainError) as mixed:
+            mixture(conds, [1.0, 0.0], 2)
+        assert str(built.value) == str(mixed.value) == message.replace("..., 3}", "..., 5}")
 
     def test_mixture_rejects_weight_on_an_empty_class(self):
         z = residue_decompose([1.0, 0.0, 0.0], 3)
@@ -330,11 +340,10 @@ class TestResidueClassRules:
             mixture([Pmf.uniform(1), Pmf.uniform(1)], [1.0, 0.0], 2)
 
     def test_trailing_zeros_survive_reassembly_only(self):
-        # Every class sets the support of reassemble; only weighted classes
-        # set the support of mixture.
+        # Every class, weighted or not, sets the support of both.
         z = residue_decompose([1.0, 0.0, 0.0, 0.0], 2)
         assert z.reassemble().probs.tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert mixture(z.conditionals, z.weights, 2).probs.tolist() == [1.0, 0.0, 0.0]
+        assert mixture(z.conditionals, z.weights, 2).probs.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_degenerate_is_derived_from_the_weights(self):
         rng = np.random.default_rng(18)
@@ -489,11 +498,11 @@ class TestNonFiniteWeights:
 
     def test_mixture_rejects_nan_weight(self):
         q = Pmf.uniform(1)
-        with pytest.raises(ValidationError, match="invalid weight nan at index 0"):
+        with pytest.raises(ValidationError, match="invalid class weight nan at index 0"):
             mixture([q, q], [math.nan, 1.0], 2)
 
     def test_mixture_rejects_lone_nan_weight(self):
-        with pytest.raises(ValidationError, match="invalid weight nan at index 0"):
+        with pytest.raises(ValidationError, match="invalid class weight nan at index 0"):
             mixture([Pmf.uniform(2)], [math.nan], 1)
 
 
@@ -595,26 +604,6 @@ def reference_reassemble(dec):
     return reference_finalize(out)
 
 
-def reference_mixture(conditionals, weights, r):
-    if int(r) != r or r < 1:
-        raise DomainError(f"modulus must be an integer >= 1, got {r!r}")
-    r = int(r)
-    conds = list(conditionals)
-    w = np.asarray(weights, dtype=float)
-    if len(conds) != r or w.size != r:
-        raise DomainError(f"expected exactly {r} weights and {r} conditionals")
-    if np.any(w < 0.0):
-        raise ValidationError("weights must be non-negative")
-    if abs(float(w.sum()) - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError("weights must sum to 1")
-    arrays = {j: reference_pmf(conds[j].probs) for j in range(r) if w[j] > 0.0}
-    m = max((arr.size - 1) * r + j for j, arr in arrays.items())
-    out = np.zeros(m + 1)
-    for j, arr in arrays.items():
-        out[j + r * np.arange(arr.size)] = w[j] * arr
-    return reference_finalize(out)
-
-
 def outcome(call, *args):
     """The bytes of a call's array, or the type of the exception it raised."""
     try:
@@ -656,8 +645,8 @@ class TestMatchesReference:
             dec = residue_decompose(probs, r)
             degenerate += any(dec.degenerate)
             assert outcome(dec.reassemble) == outcome(reference_reassemble, dec)
-            args = (dec.conditionals, dec.weights, r)
-            assert outcome(mixture, *args) == outcome(reference_mixture, *args)
+            mixed = outcome(mixture, dec.conditionals, dec.weights, r)
+            assert mixed == outcome(reference_reassemble, dec)
             other = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
             assert outcome(convolve, probs, other) == outcome(
                 reference_finalize, np.convolve(reference_pmf(probs), other)

@@ -341,6 +341,9 @@ class TestConvolveBernoulliPreserves:
     def test_bad_weight(self):
         with pytest.raises(DomainError):
             convolve_bernoulli_preserves(binomial_masses(3), 3, 1.5)
+        for bad in (True, "0.5"):  # a bool or a string is no weight
+            with pytest.raises(DomainError, match=r"^Bernoulli weight must lie in \[0, 1\], got "):
+                convolve_bernoulli_preserves(binomial_masses(3), 3, bad)
 
 
 @pytest.mark.parametrize("check, args", [
