@@ -10,23 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DomainError, MaxentsumError, NotASpecialCaseError, check_count, is_real
 from .pmf import Pmf, binary_entropy
 
-#: Above this n, log2 of binomial coefficients is taken via lgamma instead of
-#: exact integers, trading bit-exactness for overflow-free evaluation.
-EXACT_COEFF_MAX_N = 60
-
 SPECIAL_GENERAL = "general"
 SPECIAL_N1 = "n1"
 SPECIAL_R1 = "r1"
 SPECIAL_N2 = "n2"
 SPECIAL_N3R2 = "n3r2"
-
-_LN2 = math.log(2.0)
 
 
 def _check_nr(n: int, r: int) -> None:
@@ -35,31 +30,23 @@ def _check_nr(n: int, r: int) -> None:
 
 
 def binomial_half_entropy(n: int) -> float:
-    """Entropy in bits of Binomial(n, 1/2), by exact summation; H(B_0) = 0."""
+    """Entropy in bits of Binomial(n, 1/2); H(B_0) = 0.
+
+    Summed over the exact integers C(n, k) for every n, each mass one
+    correctly rounded C(n, k)/2**n, at a cost of about n**2 bit operations.
+    """
     check_count("n", n, 0)
     n = int(n)
-    if n == 0:
-        return 0.0
-    if n <= EXACT_COEFF_MAX_N:
-        coeffs = [math.comb(n, k) for k in range(n + 1)]
-        log2c = np.array([math.log2(c) for c in coeffs])
-        probs = np.array([float(c) for c in coeffs]) * 2.0 ** -n
-    else:
-        k = np.arange(n + 1, dtype=float)
-        lg = np.vectorize(math.lgamma)
-        log2c = (lg(n + 1.0) - lg(k + 1.0) - lg(n - k + 1.0)) / _LN2
-        probs = 2.0 ** (log2c - n)
-    return float(-(probs @ (log2c - n)))
+    coeffs = list(accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1))
+    probs = np.array([c / (1 << n) for c in coeffs])
+    log2c = np.array([math.log2(c) for c in coeffs])
+    return float(-(probs @ (log2c - n))) + 0.0  # + 0.0 turns H(B_0) = -0.0 into 0.0
 
 
 def conjectured_weight(n: int, r: int) -> float:
-    """The mixture weight w0 believed to maximize the bound; 1 when r = 1.
-
-    For r >= 2 this is 2**d / (r - 1 + 2**d) with d = H(B_n) - H(B_{n-1}).
-    """
+    """The mixture weight w0 = 2**d / (r - 1 + 2**d), d = H(B_n) - H(B_{n-1}),
+    believed to maximize the bound; it is exactly 1 when r = 1."""
     _check_nr(n, r)
-    if r == 1:
-        return 1.0
     gain = 2.0 ** (binomial_half_entropy(n) - binomial_half_entropy(n - 1))
     return gain / (r - 1 + gain)
 
@@ -156,28 +143,29 @@ def conjectured_inputs(n: int, r: int) -> tuple[Pmf, ...]:
 def closed_form_special(n: int, r: int) -> float:
     """Independent closed form for the proven cases, cross-checked on the fly.
 
-    Supported: n = 1 (any r), r = 1 (any n), n = 2 (any r), and (n, r) = (3, 2).
-    The formulas here deliberately avoid the code path of
-    :func:`entropy_lower_bound`, and the two are required to agree to 1e-12.
+    Supported: the cells whose :func:`entropy_lower_bound` report has a
+    ``special_case`` other than ``general`` (n = 1, r = 1, n = 2, and
+    (n, r) = (3, 2)).  The formulas here deliberately avoid the bound's code
+    path, and the two values are required to agree to 1e-12.
     """
-    _check_nr(n, r)
-    if n == 1:
+    report = entropy_lower_bound(n, r)
+    case = report.special_case
+    if case == SPECIAL_N1:
         value = math.log2(r + 1)
-    elif r == 1:
+    elif case == SPECIAL_R1:
         value = binomial_half_entropy(n)
-    elif n == 2:
+    elif case == SPECIAL_N2:
         w0 = math.sqrt(2.0) / (r - 1 + math.sqrt(2.0))
         value = 1.0 + w0 / 2.0 + (1.0 - w0) * math.log2(r - 1) + binary_entropy(w0)
-    elif (n, r) == (3, 2):
+    elif case == SPECIAL_N3R2:
         gain = (4.0 / 3.0) ** 0.75
         w0 = gain / (1.0 + gain)
         value = 0.75 * (2.0 + (2.0 - math.log2(3.0)) * w0) + binary_entropy(w0)
     else:
         raise NotASpecialCaseError(f"no closed form is proven for (n, r) = ({n}, {r})")
-    general = entropy_lower_bound(n, r).bound_bits
-    if abs(value - general) > 1e-12:
+    if abs(value - report.bound_bits) > 1e-12:
         raise MaxentsumError(
             f"internal inconsistency at (n, r) = ({n}, {r}): "
-            f"special form {value!r} vs general bound {general!r}"
+            f"special form {value!r} vs general bound {report.bound_bits!r}"
         )
     return value

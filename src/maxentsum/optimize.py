@@ -497,7 +497,8 @@ class _Lockstep:
 
 def _one_row(inputs, i: int, caller: str) -> np.ndarray:
     pmfs = _summands(inputs, caller)
-    if not 0 <= i < len(pmfs):
+    check_count("block index", i, 0)
+    if i >= len(pmfs):
         raise DomainError(f"block index {i} out of range for {len(pmfs)} blocks")
     return np.array([[p.probs for p in pmfs]])
 

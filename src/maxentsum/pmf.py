@@ -302,9 +302,12 @@ def write_pmf(p: PmfLike, destination) -> None:
     The support index is implied by the order of value lines; ``#`` starts a
     comment.  Values are written with shortest round-trip precision, so a
     read back reproduces the floats exactly.  ``destination`` is a path or a
-    text or binary file object.
+    text or binary file object.  A law that is not a pmf, such as the
+    all-zero conditional of an empty residue class, raises
+    :class:`ValidationError` and nothing is written.
     """
     pmf = as_pmf(p)
+    _validate(pmf.probs)
     text = f"# pmf on {{0, ..., {pmf.m}}}\n" + "".join(f"{float(x)!r}\n" for x in pmf.probs)
     if hasattr(destination, "write"):
         try:

@@ -1,6 +1,7 @@
 """Closed-form bound machinery: binomial entropies, the weight, special cases."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -73,14 +74,32 @@ class TestBinomialHalfEntropy:
             assert binomial_half_entropy(n) == pytest.approx(entropy(Pmf(masses)), abs=1e-12)
 
     def test_lgamma_branch_agrees_with_exact_oracle(self):
-        # Above the exact-coefficient cutoff the library switches to lgamma;
-        # the oracle here keeps exact integer coefficients (math.log2 accepts
+        # These n lie above 60, where an lgamma path once ran (hence the
+        # name).  The oracle takes each exact integer coefficient from
+        # math.comb, not the library's recurrence (math.log2 accepts
         # arbitrary-precision ints).
         for n in (61, 80, 200):
             coeffs = [math.comb(n, k) for k in range(n + 1)]
             probs = [c * 2.0**-n for c in coeffs]
             oracle = -sum(p * (math.log2(c) - n) for p, c in zip(probs, coeffs))
             assert binomial_half_entropy(n) == pytest.approx(oracle, abs=1e-9)
+
+    def test_bit_identical_to_the_former_exact_formula(self):
+        # The formula used up to n = 60 before the exact path covered every n:
+        # both round C(n, k) * 2**-n correctly, so the bits must not move.
+        for n in range(0, 61):
+            coeffs = [math.comb(n, k) for k in range(n + 1)]
+            log2c = np.array([math.log2(c) for c in coeffs])
+            probs = np.array([float(c) for c in coeffs]) * 2.0 ** -n
+            reference = float(-(probs @ (log2c - n))) if n else 0.0
+            assert binomial_half_entropy(n).hex() == reference.hex()
+
+    def test_large_n_stays_fast(self):
+        # Guards against building each coefficient by its own math.comb call,
+        # which takes seconds at this n.
+        start = time.perf_counter()
+        entropy_lower_bound(10_000, 3)
+        assert time.perf_counter() - start < 2.0
 
     def test_monotone_in_n(self):
         values = [binomial_half_entropy(n) for n in range(0, 40)]
@@ -248,6 +267,11 @@ class TestConjecturedInputs:
                     entropy_lower_bound(n, r).bound_bits, abs=1e-10
                 )
 
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_construction_attains_bound_at_large_n(self, n):
+        achieved = entropy(sum_distribution(conjectured_inputs(n, 3)))
+        assert abs(achieved - entropy_lower_bound(n, 3).bound_bits) <= 1e-12
+
     @pytest.mark.parametrize("n,r", [(2, 2), (4, 3), (6, 5)])
     def test_residue_classes_are_binomial(self, n, r):
         dec = residue_decompose(sum_distribution(conjectured_inputs(n, r)), r)
@@ -283,6 +307,17 @@ class TestClosedFormSpecial:
     def test_not_a_special_case(self, n, r):
         with pytest.raises(NotASpecialCaseError):
             closed_form_special(n, r)
+
+    def test_refuses_exactly_the_general_cells(self):
+        for n in range(1, 9):
+            for r in range(1, 9):
+                general = entropy_lower_bound(n, r).special_case == "general"
+                try:
+                    closed_form_special(n, r)
+                except NotASpecialCaseError:
+                    assert general, (n, r)
+                else:
+                    assert not general, (n, r)
 
 
 class TestArgmaxProperty:

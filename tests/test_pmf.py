@@ -19,6 +19,7 @@ from maxentsum import (
     entropy,
     mixture,
     multistart_maximize,
+    objective_gradient,
     random_ulc_sequences,
     read_pmf,
     residue_decompose,
@@ -459,6 +460,18 @@ class TestTextFormat:
         buffer.seek(0)
         assert read_pmf(buffer).probs.tolist() == [value, 1.0 - value]
 
+    @pytest.mark.parametrize("masses,message", [
+        ([1.0, 0.0, 0.0], "masses sum to 0.0"),
+        ([1.0], "a pmf needs at least one entry"),
+    ])
+    def test_an_empty_class_law_is_not_written(self, masses, message):
+        # The all-zero conditional of an empty residue class is a Pmf but not
+        # a pmf, and read_pmf would reject what write_pmf wrote for it.
+        buffer = io.StringIO()
+        with pytest.raises(ValidationError, match=message):
+            write_pmf(residue_decompose(masses, 3).conditionals[1], buffer)
+        assert buffer.getvalue() == ""
+
     def test_seventeen_digit_precision_survives(self):
         value = 1.0 / 3.0
         p = Pmf([value, 1.0 - value])
@@ -542,6 +555,14 @@ def _decompose(r):
     return residue_decompose(_P3, r)
 
 
+def _ascend(i):
+    return block_ascend([_P3, _P3], i)
+
+
+def _gradient(i):
+    return objective_gradient([_P3, _P3], i)
+
+
 @pytest.mark.parametrize("call,value,message", [
     _integer_case("modulus", _decompose, True, 1),
     _integer_case("modulus", _decompose, 2.0, 1),
@@ -558,6 +579,12 @@ def _decompose(r):
     _integer_case("order", _ulc_order, True, 1),
     _integer_case("order", _ulc_order, 2.0, 1),
     _integer_case("count", _ulc_count, True, 1),
+    _integer_case("block index", _ascend, True, 0),
+    _integer_case("block index", _ascend, 1.0, 0),
+    _integer_case("block index", _ascend, 1.5, 0),
+    _integer_case("block index", _gradient, True, 0),
+    _integer_case("block index", _gradient, 1.0, 0),
+    _integer_case("block index", _gradient, 1.5, 0),
 ])
 def test_integer_arguments_are_checked(call, value, message):
     # Each of these values ran before integer arguments went through
