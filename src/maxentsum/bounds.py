@@ -45,10 +45,8 @@ def binomial_half_entropy(n: int) -> float:
 
 def conjectured_weight(n: int, r: int) -> float:
     """The mixture weight w0 = 2**d / (r - 1 + 2**d), d = H(B_n) - H(B_{n-1}),
-    believed to maximize the bound; it is exactly 1 when r = 1."""
-    _check_nr(n, r)
-    gain = 2.0 ** (binomial_half_entropy(n) - binomial_half_entropy(n - 1))
-    return gain / (r - 1 + gain)
+    believed to maximize the bound; the ``w0`` of :func:`entropy_lower_bound`, 1 when r = 1."""
+    return entropy_lower_bound(n, r).w0
 
 
 @dataclass(frozen=True)
@@ -73,19 +71,15 @@ class BoundReport:
         return asdict(self)
 
 
-def _terms_at(w: float, n: int, r: int) -> BoundTerms:
-    _check_nr(n, r)
-    real = is_real(w)
-    hn = binomial_half_entropy(n)
+def _terms_at(w: float, r: int, hn: float, hn1: float) -> BoundTerms:
     if r == 1:
         # The r = 1 branch is explicit: only w = 1 is admissible and the
         # (1 - w) * log2(r - 1) term is read as 0.
-        if not (real and w == 1.0):
+        if not (is_real(w) and w == 1.0):
             raise DomainError("r = 1 admits only the weight w = 1")
         return BoundTerms(binomial_term=hn, shifted_term=0.0, weight_entropy=0.0)
-    if not (real and 0.0 < (w := float(w)) <= 1.0):
+    if not (is_real(w) and 0.0 < (w := float(w)) <= 1.0):
         raise DomainError(f"weight must lie in (0, 1], got {w!r}")
-    hn1 = binomial_half_entropy(n - 1)
     return BoundTerms(
         binomial_term=w * hn,
         shifted_term=(1.0 - w) * (hn1 + math.log2(r - 1)),
@@ -99,15 +93,18 @@ def bound_value_at(w: float, n: int, r: int) -> float:
     f(w) = w H(B_n) + (1 - w)(H(B_{n-1}) + log2(r - 1)) + h(w); the maximum
     over w is attained at :func:`conjectured_weight`.
     """
-    t = _terms_at(w, n, r)
+    _check_nr(n, r)
+    t = _terms_at(w, r, binomial_half_entropy(n), binomial_half_entropy(n - 1))
     return t.binomial_term + t.shifted_term + t.weight_entropy
 
 
 def entropy_lower_bound(n: int, r: int) -> BoundReport:
     """Closed-form lower bound on the maximum entropy of S_n over {0, ..., r}."""
     _check_nr(n, r)
-    w0 = conjectured_weight(n, r)
-    terms = _terms_at(w0, n, r)
+    hn, hn1 = binomial_half_entropy(n), binomial_half_entropy(n - 1)
+    gain = 2.0 ** (hn - hn1)
+    w0 = gain / (r - 1 + gain)
+    terms = _terms_at(w0, r, hn, hn1)
     bound = terms.binomial_term + terms.shifted_term + terms.weight_entropy
     if n == 1:
         tag = SPECIAL_N1

@@ -8,10 +8,16 @@ is what keeps multistart runs and suite chunks deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import check_count
-from .pmf import LOG2E, ZERO_FLOOR
+
+#: Masses at or below this floor contribute 0 * log 0 = 0 to entropies.
+ZERO_FLOOR = 1e-300
+
+LOG2E = math.log2(math.e)
 
 
 def seeded_rng(seed: int, index: int) -> np.random.Generator:
@@ -36,13 +42,14 @@ def conv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fold_rows(blocks: np.ndarray) -> np.ndarray:
-    """Row-wise convolution of all blocks of ``blocks`` (rows, count, m).
+    """Row-wise convolution of all blocks of ``blocks`` (rows, count, m),
+    folded left by :func:`conv_rows` into a fresh array.
 
     With no blocks the result is the unit sequence ``[1.0]`` of each row.
     """
     if blocks.shape[1] == 0:
         return np.ones((blocks.shape[0], 1))
-    acc = blocks[:, 0]
+    acc = blocks[:, 0].copy()
     for j in range(1, blocks.shape[1]):
         acc = conv_rows(acc, blocks[:, j])
     return acc
@@ -70,6 +77,14 @@ def entropy_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row; masses at or below the zero floor add 0."""
     terms = np.where(probs > ZERO_FLOOR, probs * logs, 0.0)
     return np.maximum(-np.add.reduce(terms, axis=-1), 0.0)
+
+
+def sum_law_rows(toeplitz: np.ndarray, p: np.ndarray):
+    """Sum law ``T @ p`` of each row's block ``p`` (rows, m) against its rest's
+    Toeplitz matrix, with its clamped logs and its entropy in bits."""
+    sums = np.matmul(toeplitz, p[:, :, None])[:, :, 0]
+    logs = log2_rows(sums)
+    return sums, logs, entropy_rows(sums, logs)
 
 
 def gradient_rows(toeplitz: np.ndarray, logs: np.ndarray) -> np.ndarray:

@@ -51,16 +51,19 @@ import numpy as np
 from .bounds import _check_nr, conjectured_inputs, entropy_lower_bound
 from .errors import BudgetExceededError, DomainError, MaxentsumError, check_count, is_real
 from .kernels import (
+    LOG2E,
+    ZERO_FLOOR,
     conv_rows,
     entropy_rows,
     fold_rows,
     gradient_rows,
     log2_rows,
     seeded_rng,
+    sum_law_rows,
     toeplitz_rows,
 )
 from .parallel import ordered_map
-from .pmf import LOG2E, ZERO_FLOOR, Pmf, _entropy_bits, _finalize, _fold, _summands
+from .pmf import Pmf, _entropy_bits, _finalize, _summands
 
 #: Hard cap on ordered grid tuples enumerated by the grid oracle.
 GRID_BUDGET = 100_000_000
@@ -194,12 +197,11 @@ def _others(n: int) -> np.ndarray:
 
 
 def _block_terms(blocks: np.ndarray, cur: np.ndarray, others: np.ndarray):
-    """Toeplitz matrix of the rest-convolution, sum law and its logs, per row."""
+    """Toeplitz matrix of the rest-convolution, then :func:`sum_law_rows`, per row."""
     rows = np.arange(blocks.shape[0])
     rest = fold_rows(blocks[rows[:, None], others[cur]])
     toeplitz = toeplitz_rows(rest, blocks.shape[2])
-    sums = np.matmul(toeplitz, blocks[rows, cur][:, :, None])[:, :, 0]
-    return toeplitz, sums, log2_rows(sums)
+    return (toeplitz, *sum_law_rows(toeplitz, blocks[rows, cur]))
 
 
 def _ascent_terms(toeplitz: np.ndarray, sums: np.ndarray, logs: np.ndarray,
@@ -346,9 +348,7 @@ class _Lockstep:
         q = np.exp(self.eta * self.shift)
         q *= self.p
         q /= np.add.reduce(q, axis=1, keepdims=True)
-        sums = np.matmul(self.toeplitz, q[:, :, None])[:, :, 0]
-        logs = log2_rows(sums)
-        value = entropy_rows(sums, logs)
+        sums, logs, value = sum_law_rows(self.toeplitz, q)
         accepted = (value >= self.value) | (self.eta[:, 0] <= _ETA_BA)
         accepted &= self.active
         if not accepted.any():
@@ -374,17 +374,14 @@ class _Lockstep:
         cur = self.cur[idx]
         blocks = self.blocks[idx]
         p = blocks[np.arange(idx.size), cur]
-        toeplitz, sums, logs = _block_terms(blocks, cur, self.others)
+        toeplitz, sums, logs, value = _block_terms(blocks, cur, self.others)
         neg = self.block_neg[cur]
         shift, gap, newton = _ascent_terms(toeplitz, sums, logs, neg, p)
-        value = entropy_rows(sums, logs)
         q, moves = _face_moves(p, shift, gap)
         if moves.any():
             rows = moves.nonzero()[0]
             self.steps[idx[rows]] += 1
-            sums = np.matmul(toeplitz[rows], q[rows][:, :, None])[:, :, 0]
-            logs = log2_rows(sums)
-            moved = entropy_rows(sums, logs)
+            sums, logs, moved = sum_law_rows(toeplitz[rows], q[rows])
             keep = moved >= value[rows]
             rows = rows[keep]
             p[rows] = q[rows]
@@ -506,7 +503,7 @@ def _one_row(inputs, i: int, caller: str) -> np.ndarray:
 def objective_gradient(inputs, i: int) -> np.ndarray:
     """Gradient of H(S_n) with respect to the masses of block ``i``."""
     blocks = _one_row(inputs, i, "objective_gradient")
-    toeplitz, _, logs = _block_terms(blocks, np.array([i]), _others(blocks.shape[1]))
+    toeplitz, _, logs, _ = _block_terms(blocks, np.array([i]), _others(blocks.shape[1]))
     return gradient_rows(toeplitz, logs)[0]
 
 
@@ -700,6 +697,6 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     # all heads passes the screen, and the result is that maximum.
     best = -math.inf
     for head in _near_best_heads(counts, n, _ORACLE_SLACK * resolution**n):
-        sums = conv_rows(_fold(grid[head])[None, :], grid[head[-1] :])
+        sums = conv_rows(fold_rows(grid[head][None]), grid[head[-1] :])
         best = max(best, float(entropy_rows(sums, log2_rows(sums)).max()) + 0.0)
     return best

@@ -9,7 +9,6 @@ share between threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ValidationError, check_count, is_real
+from .kernels import ZERO_FLOOR, fold_rows
 
 logger = logging.getLogger(__name__)
 
@@ -25,10 +25,6 @@ logger = logging.getLogger(__name__)
 NORMALIZATION_TOL = 1e-12
 #: Operations renormalize their raw output only when it drifts beyond this.
 RENORMALIZE_DRIFT = 1e-14
-#: Masses at or below this floor contribute 0 * log 0 = 0 to entropies.
-ZERO_FLOOR = 1e-300
-
-LOG2E = math.log2(math.e)
 
 PmfLike = Union["Pmf", Sequence[float], np.ndarray]
 
@@ -200,16 +196,11 @@ def _summands(inputs: Iterable[PmfLike], caller: str) -> list[Pmf]:
 def sum_distribution(inputs: Iterable[PmfLike]) -> Pmf:
     """Distribution of the sum of n >= 1 independent variables on {0, ..., r}.
 
-    All inputs must share one alphabet; the result is the left fold of
-    :func:`convolve` with support {0, ..., n*r}.
+    All inputs must share one alphabet; the result, on {0, ..., n*r}, is one
+    row of :func:`kernels.fold_rows` and rounds alike on every CPU.
     """
     pmfs = _summands(inputs, "sum_distribution")
-    return _finalize(_fold([p.probs for p in pmfs]), "sum_distribution")
-
-
-def _fold(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Left fold of ``np.convolve`` over 1-d arrays, as a fresh array."""
-    return functools.reduce(np.convolve, arrays[1:], arrays[0].copy())
+    return _finalize(fold_rows(np.array([[p.probs for p in pmfs]]))[0].copy(), "sum_distribution")
 
 
 @dataclass(frozen=True, eq=False)

@@ -208,6 +208,16 @@ class TestEntropyLowerBound:
                 report = entropy_lower_bound(n, r)
                 assert bound_value_at(report.w0, n, r) == report.bound_bits
 
+    def test_each_binomial_entropy_is_computed_once(self, monkeypatch):
+        import maxentsum.bounds as bounds
+
+        calls, checks = [], []
+        binomial, check = bounds.binomial_half_entropy, bounds._check_nr
+        monkeypatch.setattr(bounds, "binomial_half_entropy", lambda n: calls.append(n) or binomial(n))
+        monkeypatch.setattr(bounds, "_check_nr", lambda n, r: checks.append((n, r)) or check(n, r))
+        entropy_lower_bound(10, 3)
+        assert calls == [10, 9] and checks == [(10, 3)]
+
     def test_special_case_tags(self):
         assert entropy_lower_bound(1, 5).special_case == "n1"
         assert entropy_lower_bound(1, 1).special_case == "n1"

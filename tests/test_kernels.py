@@ -1,8 +1,12 @@
 """Row-batched kernels against their one-row references."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import maxentsum.kernels as kernels
 from maxentsum.kernels import (
     conv_rows,
     entropy_rows,
@@ -10,6 +14,7 @@ from maxentsum.kernels import (
     gradient_rows,
     log2_rows,
     seeded_rng,
+    sum_law_rows,
     toeplitz_rows,
 )
 from maxentsum.pmf import _entropy_bits
@@ -44,6 +49,22 @@ def test_fold_rows(rng):
     np.testing.assert_array_equal(fold_rows(blocks[:, :0]), np.ones((2, 1)))
 
 
+def test_fold_rows_returns_a_fresh_array(rng):
+    blocks = rng.dirichlet(np.ones(3), size=(2, 1))
+    out = fold_rows(blocks)
+    np.testing.assert_array_equal(out, blocks[:, 0])
+    assert not np.shares_memory(out, blocks)
+
+
+def test_kernels_import_no_other_package_module_but_errors():
+    # The sum law and its rounding live here; ``pmf`` builds on them, not
+    # the other way round.
+    tree = ast.parse(Path(kernels.__file__).read_text(encoding="utf-8"))
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level}
+    assert local == {"errors"}
+
+
 def test_toeplitz_product_is_convolution(rng):
     rest = rng.dirichlet(np.ones(7), size=3)
     p = rng.dirichlet(np.ones(4), size=3)
@@ -52,6 +73,17 @@ def test_toeplitz_product_is_convolution(rng):
     sums = np.matmul(toeplitz, p[:, :, None])[:, :, 0]
     for t in range(3):
         np.testing.assert_allclose(sums[t], np.convolve(rest[t], p[t]), rtol=0, atol=1e-16)
+
+
+def test_sum_law_rows_is_the_block_sum_law_and_its_entropy(rng):
+    rest = rng.dirichlet(np.ones(6), size=3)
+    p = rng.dirichlet(np.ones(4), size=3)
+    p[1, 2] = 0.0
+    sums, logs, values = sum_law_rows(toeplitz_rows(rest, 4), p)
+    for t in range(3):
+        np.testing.assert_allclose(sums[t], np.convolve(rest[t], p[t]), rtol=0, atol=1e-16)
+    np.testing.assert_array_equal(logs, log2_rows(sums))
+    np.testing.assert_array_equal(values, entropy_rows(sums, logs))
 
 
 def test_entropy_rows_matches_entropy_bits(rng):

@@ -428,7 +428,7 @@ class TestEntryMove:
 
         def enter(run, idx):
             before = run.blocks[idx, run.cur[idx]]
-            _, sums, logs = optimize._block_terms(run.blocks[idx], run.cur[idx], run.others)
+            _, sums, logs, _ = optimize._block_terms(run.blocks[idx], run.cur[idx], run.others)
             stationary = original(run, idx)
             assert (run.value[idx] >= entropy_rows(sums, logs)).all()
             moved.extend((run.p[idx] != before).any(axis=1))
@@ -522,6 +522,21 @@ class TestPinnedOutput:
                    if isinstance(value, np.ndarray) and value.ndim and len(value) == rows}
         by_start_id = {"out_blocks"}
         assert per_row - by_start_id == set(optimize._Lockstep._FIELDS)
+        assert len(set(optimize._Lockstep._FIELDS)) == len(optimize._Lockstep._FIELDS)
+
+    def test_compaction_keeps_every_row_aligned(self):
+        n, r, rows = 3, 4, 7
+        neg = np.zeros((n, r + 1))
+        blocks = np.array([optimize._random_start(neg, 0, sid) for sid in range(rows)])
+        run = optimize._Lockstep(blocks, neg, 1e-12)
+        run.steps[:] = np.arange(rows) * 10
+        run.done[[1, 4]] = True
+        run._compact()
+        live = [0, 2, 3, 5, 6]
+        for name in optimize._Lockstep._FIELDS:
+            assert len(getattr(run, name)) == len(live), name
+        assert run.ids.tolist() == live and run.steps.tolist() == [10 * i for i in live]
+        np.testing.assert_array_equal(run.blocks, blocks[live])
 
 
 class TestDeferredBlockEnds:

@@ -631,6 +631,20 @@ def reference_reassemble(dec):
     return reference_finalize(out)
 
 
+def reference_sum(arrays):
+    """The sum law folded left in pure Python: each step accumulates
+    ``out[k + j] += a[k] * b[j]`` over ascending k, then the result is
+    renormalized as ``_finalize`` does."""
+    acc = [float(x) for x in arrays[0]]
+    for b in arrays[1:]:
+        out = [0.0] * (len(acc) + len(b) - 1)
+        for k, ak in enumerate(acc):
+            for j, bj in enumerate(b):
+                out[k + j] += ak * float(bj)
+        acc = out
+    return reference_finalize(np.array(acc))
+
+
 def outcome(call, *args):
     """The bytes of a call's array, or the type of the exception it raised."""
     try:
@@ -679,6 +693,23 @@ class TestMatchesReference:
                 reference_finalize, np.convolve(reference_pmf(probs), other)
             )
         assert rejected > 100 and degenerate > 100
+
+    def test_sum_distribution_folds_in_ascending_order(self):
+        # The same bytes on every CPU: the fold's rounding order is fixed,
+        # unlike a BLAS dot product's.
+        rng = np.random.default_rng(21)
+        cases = [[[1.0]], [[0.25, 0.0, 0.75]], [[0.5, 0.0, 0.5]] * 3]
+        for n in range(1, 7):
+            for _ in range(40):
+                r = int(rng.integers(1, 7))
+                arrays = [rng.dirichlet(np.ones(r + 1)) for _ in range(n)]
+                if rng.random() < 0.3:
+                    arrays[0][int(rng.integers(r + 1))] = 0.0
+                    arrays[0] /= arrays[0].sum()
+                cases.append([a * (1.0 + rng.choice([0.0, 3e-15, 6e-13])) for a in arrays])
+        for arrays in cases:
+            expected = outcome(reference_sum, arrays)
+            assert isinstance(expected, bytes) and outcome(sum_distribution, arrays) == expected
 
     @pytest.mark.parametrize("values", [
         [], [[0.5, 0.5]], 0.5, [0.5, 0.5 + 1e-9], [math.nan], [-math.inf, 1.0], ["x"],
