@@ -33,17 +33,20 @@ def conv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise convolution of ``a`` (rows, na) with ``b`` (rows, nb).
 
     Either operand may have a single row, which is broadcast.  Output entry s
-    accumulates ``a[:, k] * b[:, s - k]`` over ascending k.
+    accumulates ``a[:, k] * b[:, s - k]`` over ascending k.  The loop walks
+    the columns of ``b``, last to first, so pass the shorter operand second.
     """
-    out = np.zeros((max(a.shape[0], b.shape[0]), a.shape[1] + b.shape[1] - 1))
-    for k in range(a.shape[1]):
-        out[:, k : k + b.shape[1]] += a[:, k : k + 1] * b
+    na = a.shape[1]
+    out = np.zeros((max(a.shape[0], b.shape[0]), na + b.shape[1] - 1))
+    for j in range(b.shape[1] - 1, -1, -1):
+        out[:, j : j + na] += b[:, j : j + 1] * a
     return out
 
 
 def fold_rows(blocks: np.ndarray) -> np.ndarray:
     """Row-wise convolution of all blocks of ``blocks`` (rows, count, m),
-    folded left by :func:`conv_rows` into a fresh array.
+    folded left by :func:`conv_rows` into a fresh array; each block is the
+    short second operand, so the fold walks it once.
 
     With no blocks the result is the unit sequence ``[1.0]`` of each row.
     """

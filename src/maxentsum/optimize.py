@@ -191,15 +191,12 @@ class OptimizationResult:
         }
 
 
-def _others(n: int) -> np.ndarray:
-    """Row i lists the block indices other than i, ascending."""
-    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=int).reshape(n, n - 1)
-
-
-def _block_terms(blocks: np.ndarray, cur: np.ndarray, others: np.ndarray):
-    """Toeplitz matrix of the rest-convolution, then :func:`sum_law_rows`, per row."""
+def _block_terms(blocks: np.ndarray, cur: np.ndarray):
+    """Toeplitz matrix of each row's rest (its blocks but ``cur``, folded in
+    ascending order), then :func:`sum_law_rows`."""
     rows = np.arange(blocks.shape[0])
-    rest = fold_rows(blocks[rows[:, None], others[cur]])
+    k = np.arange(blocks.shape[1] - 1)
+    rest = fold_rows(blocks[rows[:, None], k + (k >= cur[:, None])])
     toeplitz = toeplitz_rows(rest, blocks.shape[2])
     return (toeplitz, *sum_law_rows(toeplitz, blocks[rows, cur]))
 
@@ -292,7 +289,6 @@ class _Lockstep:
         count, n, m = blocks.shape
         self.outer_tol = outer_tol
         self.block_neg = neg
-        self.others = _others(n)
         self.ids = np.arange(count)
         self.blocks = blocks.copy()
         self.cur = np.zeros(count, dtype=int)
@@ -374,7 +370,7 @@ class _Lockstep:
         cur = self.cur[idx]
         blocks = self.blocks[idx]
         p = blocks[np.arange(idx.size), cur]
-        toeplitz, sums, logs, value = _block_terms(blocks, cur, self.others)
+        toeplitz, sums, logs, value = _block_terms(blocks, cur)
         neg = self.block_neg[cur]
         shift, gap, newton = _ascent_terms(toeplitz, sums, logs, neg, p)
         q, moves = _face_moves(p, shift, gap)
@@ -503,7 +499,7 @@ def _one_row(inputs, i: int, caller: str) -> np.ndarray:
 def objective_gradient(inputs, i: int) -> np.ndarray:
     """Gradient of H(S_n) with respect to the masses of block ``i``."""
     blocks = _one_row(inputs, i, "objective_gradient")
-    toeplitz, _, logs, _ = _block_terms(blocks, np.array([i]), _others(blocks.shape[1]))
+    toeplitz, _, logs, _ = _block_terms(blocks, np.array([i]))
     return gradient_rows(toeplitz, logs)[0]
 
 

@@ -63,8 +63,6 @@ def _entropy_bits(arr: np.ndarray) -> float:
     # Masses at or below the floor contribute exactly 0; no epsilon smoothing,
     # so the equality cases stay exact.
     positive = arr[arr > ZERO_FLOOR]
-    if positive.size == 0:
-        return 0.0
     return max(0.0, -float(positive @ np.log2(positive)))
 
 

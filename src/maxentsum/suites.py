@@ -232,7 +232,7 @@ def preserve_suite(trials: int, seed: int = 0) -> SuiteReport:
                 continue
             seqs = random_ulc_sequences(order, rows.size, rng)
             q = weights[rows]
-            conv = conv_rows(np.stack([1.0 - q, q], axis=1), seqs)  # loops over the 2 columns
+            conv = conv_rows(seqs, np.stack([1.0 - q, q], axis=1))
             least, passes = margin_verdicts(ulc_order_margins(conv, order + 1), conv)
             worst = min(worst, float(least.min()))
             violations += _witnesses(

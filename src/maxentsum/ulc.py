@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, check_count, is_real
+from .kernels import conv_rows
 from .pmf import Pmf, PmfLike, as_pmf, sum_distribution
 
 #: :func:`margin_verdicts` passes a row whose least margin is
@@ -174,10 +175,9 @@ def residue_classes(sums: np.ndarray, r: int, n: int):
     for j in range(r):
         cls = sums[:, j::r]
         weights = cls.sum(axis=1)
-        weighted = weights > 0.0
-        cond = np.zeros_like(cls)
-        cond[weighted] = cls[weighted] / weights[weighted, None]
-        yield (n if j == 0 else n - 1), weighted, cond
+        # An empty class divides its zeros by 1.
+        cond = cls / (weights + (weights == 0.0))[:, None]
+        yield (n if j == 0 else n - 1), weights > 0.0, cond
 
 
 def conditional_ulc_report(inputs, r: int) -> UlcReport:
@@ -392,7 +392,7 @@ def convolve_bernoulli_preserves(u, order: int, q: float) -> bool:
         raise DomainError(f"Bernoulli weight must lie in [0, 1], got {q!r}")
     if not is_ulc_order(arr, order):
         raise PreconditionError(f"input sequence is not ultra-log-concave of order {order}")
-    conv = np.convolve(arr, np.array([1.0 - q, q]))
+    conv = conv_rows(arr[None], np.array([[1.0 - q, q]]))[0]
     return is_ulc_order(conv, order + 1)
 
 

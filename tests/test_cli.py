@@ -536,6 +536,14 @@ class TestSettingsPrecedence:
         assert code == 0
         assert json.loads(out)["bound_bits"] == 2.0
 
+    @pytest.mark.parametrize("word", ["off", "no", "false", "0"])
+    def test_config_false_words(self, capsys, tmp_path, word):
+        config = tmp_path / "run.conf"
+        config.write_text(f"json = {word}\n")
+        code, out, _ = run(capsys, "bound", "--config", str(config), "--n", "1", "--r", "3")
+        assert code == 0
+        assert "bound_bits = 2\n" in out
+
     def test_env_boolean_zeroes_sweep_timing(self, capsys, monkeypatch):
         monkeypatch.setenv("MAXENT_NO_TIMING", "1")
         code, out, _ = run(capsys, "sweep", "--n-max", "1", "--r-max", "2", "--starts", "1")

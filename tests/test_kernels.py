@@ -42,6 +42,32 @@ def test_conv_rows_broadcasts_a_single_row(rng):
         np.testing.assert_allclose(out[t], np.convolve(a, b[t]), rtol=0, atol=1e-16)
 
 
+def ascending_reference(a, b):
+    """Pure-Python convolution: entry s adds ``a[k] * b[s - k]`` over ascending k."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for s in range(len(out)):
+        for k in range(max(0, s - len(b) + 1), min(len(a), s + 1)):
+            out[s] += a[k] * b[s - k]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("rows_a, na, rows_b, nb", [
+    pytest.param(5, 9, 5, 3, id="a-longer"),
+    pytest.param(5, 3, 5, 9, id="a-shorter"),
+    pytest.param(5, 6, 5, 6, id="equal"),
+    pytest.param(1, 7, 5, 4, id="broadcast-a"),
+    pytest.param(5, 7, 1, 4, id="broadcast-b"),
+])
+def test_conv_rows_adds_in_ascending_order(rng, rows_a, na, rows_b, nb):
+    a = rng.dirichlet(np.ones(na), size=rows_a)
+    b = rng.dirichlet(np.ones(nb), size=rows_b)
+    out = conv_rows(a, b)
+    assert out.shape == (5, na + nb - 1)
+    for t in range(5):
+        expected = ascending_reference(a[t % rows_a], b[t % rows_b])
+        assert out[t].tobytes() == expected.tobytes()
+
+
 def test_fold_rows(rng):
     blocks = rng.dirichlet(np.ones(3), size=(2, 3))
     expected = np.convolve(np.convolve(blocks[1, 0], blocks[1, 1]), blocks[1, 2])

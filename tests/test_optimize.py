@@ -428,7 +428,7 @@ class TestEntryMove:
 
         def enter(run, idx):
             before = run.blocks[idx, run.cur[idx]]
-            _, sums, logs, _ = optimize._block_terms(run.blocks[idx], run.cur[idx], run.others)
+            _, sums, logs, _ = optimize._block_terms(run.blocks[idx], run.cur[idx])
             stationary = original(run, idx)
             assert (run.value[idx] >= entropy_rows(sums, logs)).all()
             moved.extend((run.p[idx] != before).any(axis=1))

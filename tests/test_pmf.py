@@ -2,6 +2,7 @@
 
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ class TestPmfValidation:
         p = Pmf.uniform(3)
         with pytest.raises(ValueError):
             p.probs[0] = 1.0
+
+    def test_repr_shows_at_most_eight_masses(self):
+        assert repr(Pmf([0.25, 0.75])) == "Pmf([0.25, 0.75], m=1)"
+        assert repr(Pmf.uniform(9)) == "Pmf([" + "0.1, " * 8 + "...], m=9)"
 
     def test_constructors(self):
         assert Pmf.uniform(4).probs == pytest.approx([0.2] * 5)
@@ -199,6 +204,13 @@ class TestSumDistribution:
             for j in (1, 2):
                 expected[3 * k + j] = (1 - w0) / 2.0 * math.comb(3, k) / 8.0
         np.testing.assert_allclose(out.probs, expected, atol=1e-15)
+
+    def test_many_summands_stay_fast(self):
+        # Guards against a fold whose cost grows with the accumulated length
+        # times the summand count, which takes over 10 s here.
+        start = time.perf_counter()
+        sum_distribution(conjectured_inputs(2000, 3))
+        assert time.perf_counter() - start < 1.0
 
     def test_entropy_subadditive(self):
         rng = np.random.default_rng(42)

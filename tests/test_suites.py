@@ -43,6 +43,34 @@ class TestSuitesPass:
         assert report.params == {"max_order": 8}
         assert report.stats["min_margin"] > -1e-15
 
+    def test_preserve_chunk_where_some_orders_draw_no_rows(self, monkeypatch):
+        drawn = []
+
+        def spy(order, count, rng):
+            drawn.append(order)
+            return ulc.random_ulc_sequences(order, count, rng)
+
+        monkeypatch.setattr(suites, "random_ulc_sequences", spy)
+        report = preserve_suite(trials=3, seed=11)
+        assert report.passed
+        assert 1 <= len(drawn) <= 3
+
+    def test_sign_redraws_factors_at_or_below_strictness(self, monkeypatch):
+        monkeypatch.setattr(suites, "STRICTNESS", 0.1)
+        seen = []
+
+        def spy(tensors):
+            seen.append(tensors)
+            return sign_lemma_rows(tensors)
+
+        monkeypatch.setattr(suites, "sign_lemma_rows", spy)
+        report = sign_suite(trials=2000, seed=11)
+        assert report.passed
+        assert report.params == {"strictness": 0.1}
+        tensors = np.concatenate(seen)
+        for axes in [(2, 3), (1, 3), (1, 2)]:  # each factor is its marginal
+            assert tensors.sum(axis=axes).min() > 0.1 * (1 - 1e-12)
+
     def test_decomposition_random_moduli(self):
         report = decomposition_suite(trials=400, seed=11)
         assert report.passed

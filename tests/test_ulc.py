@@ -51,6 +51,10 @@ class TestIsLogConcave:
         with pytest.raises(DomainError):
             is_log_concave([0.5, -0.5, 1.0])
 
+    def test_rejects_empty(self):
+        with pytest.raises(DomainError):
+            is_log_concave([])
+
     def test_internal_zero_diagnostic(self):
         # Two adjacent internal zeros make every inequality 0 >= 0, so the
         # literal check passes vacuously; the diagnostic tells the difference.
@@ -264,6 +268,7 @@ class TestIdentityGap:
         gap = identity_gap("even", TernaryTriple.from_values(values))
         assert gap.lhs == -3.0
         assert gap.rhs == 0.0
+        assert identity_gap("even", values.ravel().tolist()) == gap
 
     def test_odd_certificate_positive_under_agreeing_signs(self):
         rng = np.random.default_rng(42)
