@@ -4,6 +4,12 @@ Every kernel treats the leading axis as independent rows and computes each
 row with the same operations, in the same order, whatever the number of rows.
 So a row's result does not depend on which other rows share its batch, which
 is what keeps multistart runs and suite chunks deterministic.
+
+Batches are stored coordinate-major (Fortran order), so a column slice or a
+reduction over coordinates runs one loop over all rows.  Elementwise
+operations, ``min`` and ``max`` round alike in any layout, but numpy sums a
+contiguous row pairwise and a column in order, so every sum over coordinates
+that can see 8 or more terms is taken on a row-major array.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ def conv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the columns of ``b``, last to first, so pass the shorter operand second.
     """
     na = a.shape[1]
-    out = np.zeros((max(a.shape[0], b.shape[0]), na + b.shape[1] - 1))
+    out = np.zeros((max(a.shape[0], b.shape[0]), na + b.shape[1] - 1), order="F")
     for j in range(b.shape[1] - 1, -1, -1):
         out[:, j : j + na] += b[:, j : j + 1] * a
     return out
@@ -45,14 +51,14 @@ def conv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def fold_rows(blocks: np.ndarray) -> np.ndarray:
     """Row-wise convolution of all blocks of ``blocks`` (rows, count, m),
-    folded left by :func:`conv_rows` into a fresh array; each block is the
-    short second operand, so the fold walks it once.
+    folded left by :func:`conv_rows` into a fresh coordinate-major array; each
+    block is the short second operand, so the fold walks it once.
 
     With no blocks the result is the unit sequence ``[1.0]`` of each row.
     """
     if blocks.shape[1] == 0:
         return np.ones((blocks.shape[0], 1))
-    acc = blocks[:, 0].copy()
+    acc = blocks[:, 0].copy(order="F")
     for j in range(1, blocks.shape[1]):
         acc = conv_rows(acc, blocks[:, j])
     return acc
@@ -65,10 +71,10 @@ def toeplitz_rows(rest: np.ndarray, m: int) -> np.ndarray:
     ``v @ T`` correlates ``v`` with ``rest``.
     """
     rows, length = rest.shape
-    padded = np.zeros((rows, length + 2 * (m - 1)))
-    padded[:, m - 1 : m - 1 + length] = rest
-    index = np.arange(length + m - 1)[:, None] - np.arange(m) + (m - 1)
-    return np.ascontiguousarray(padded[:, index])  # matmul rounding depends on layout
+    toeplitz = np.zeros((rows, length + m - 1, m))  # matmul rounding depends on layout
+    for a in range(m):
+        toeplitz[:, a : a + length, a] = rest
+    return toeplitz
 
 
 def log2_rows(probs: np.ndarray) -> np.ndarray:
@@ -78,7 +84,8 @@ def log2_rows(probs: np.ndarray) -> np.ndarray:
 
 def entropy_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row; masses at or below the zero floor add 0."""
-    terms = np.where(probs > ZERO_FLOOR, probs * logs, 0.0)
+    terms = np.zeros(probs.shape)  # row-major, whatever the input layout
+    np.multiply(probs, logs, out=terms, where=probs > ZERO_FLOOR)
     return np.maximum(-np.add.reduce(terms, axis=-1), 0.0)
 
 

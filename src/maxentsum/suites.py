@@ -156,7 +156,7 @@ def identity_suite(trials: int, seed: int = 0) -> SuiteReport:
 
     def work(rng: np.random.Generator, offset: int, size: int):
         factors = [rng.dirichlet(np.ones(3), size=size) for _ in range(3)]
-        tensor = np.einsum("ti,tj,tk->tijk", *factors)
+        tensor = np.einsum("ti,tj,tk->tijk", *factors, order="F")
         masses = ternary_sum_masses(tensor)
         sides = identity_sides(tensor, masses)
         scale = masses.max(axis=1) ** 2
@@ -197,7 +197,7 @@ def sign_suite(trials: int, seed: int = 0) -> SuiteReport:
                     break
                 f[bad] = rng.dirichlet(np.ones(3), size=bad.size)
             factors.append(f)
-        tensor = np.einsum("ti,tj,tk->tijk", *factors)
+        tensor = np.einsum("ti,tj,tk->tijk", *factors, order="F")
         differences, hypothesis, implied = sign_lemma_rows(tensor)
         _, lhs_odd = certificate_sides(ternary_sum_masses(tensor))
         ids = offset + np.arange(size)

@@ -174,7 +174,8 @@ def residue_classes(sums: np.ndarray, r: int, n: int):
     """
     for j in range(r):
         cls = sums[:, j::r]
-        weights = cls.sum(axis=1)
+        # A class has 8+ masses at n >= 7: sum it row-major (see ``kernels``).
+        weights = np.ascontiguousarray(cls).sum(axis=1)
         # An empty class divides its zeros by 1.
         cond = cls / (weights + (weights == 0.0))[:, None]
         yield (n if j == 0 else n - 1), weights > 0.0, cond
@@ -245,7 +246,7 @@ class TernaryTriple:
 def ternary_sum_masses(values: np.ndarray) -> np.ndarray:
     """Sum-mass assembly for (..., 3, 3, 3) tensors, batched over leading axes."""
     values = np.asarray(values, dtype=float)
-    out = np.zeros(values.shape[:-3] + (7,))
+    out = np.zeros(values.shape[:-3] + (7,), order="F")
     for i, j, k in np.ndindex(3, 3, 3):
         out[..., i + j + k] += values[..., i, j, k]
     return out
@@ -406,7 +407,7 @@ def random_ulc_sequences(order: int, count: int, rng: np.random.Generator) -> np
     check_count("order", order, 1)
     check_count("count", count, 1)
     length = order + 1
-    draws = rng.dirichlet(np.ones(length), size=_REJECTION_FACTOR * count)
+    draws = np.asfortranarray(rng.dirichlet(np.ones(length), size=_REJECTION_FACTOR * count))
     _, ok = margin_verdicts(ulc_order_margins(draws, order), draws)
     kept = draws[ok][:count]
     short = count - kept.shape[0]

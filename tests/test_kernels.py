@@ -59,13 +59,23 @@ def ascending_reference(a, b):
     pytest.param(5, 7, 1, 4, id="broadcast-b"),
 ])
 def test_conv_rows_adds_in_ascending_order(rng, rows_a, na, rows_b, nb):
-    a = rng.dirichlet(np.ones(na), size=rows_a)
-    b = rng.dirichlet(np.ones(nb), size=rows_b)
-    out = conv_rows(a, b)
-    assert out.shape == (5, na + nb - 1)
-    for t in range(5):
-        expected = ascending_reference(a[t % rows_a], b[t % rows_b])
-        assert out[t].tobytes() == expected.tobytes()
+    # Outputs are coordinate-major whatever the operands' layout.
+    for order in ("C", "F"):
+        a = np.asarray(rng.dirichlet(np.ones(na), size=rows_a), order=order)
+        b = np.asarray(rng.dirichlet(np.ones(nb), size=rows_b), order=order)
+        out = conv_rows(a, b)
+        assert out.shape == (5, na + nb - 1)
+        assert out.flags.f_contiguous
+        for t in range(5):
+            expected = ascending_reference(a[t % rows_a], b[t % rows_b])
+            assert out[t].tobytes() == expected.tobytes()
+        blocks = np.asarray(rng.dirichlet(np.ones(nb), size=(5, 3)), order=order)
+        folded = fold_rows(blocks)
+        assert folded.flags.f_contiguous
+        for t in range(5):
+            expected = ascending_reference(blocks[t, 0], blocks[t, 1])
+            expected = ascending_reference(expected, blocks[t, 2])
+            assert folded[t].tobytes() == expected.tobytes()
 
 
 def test_fold_rows(rng):
@@ -118,6 +128,16 @@ def test_entropy_rows_matches_entropy_bits(rng):
     values = entropy_rows(probs, log2_rows(probs))
     for t in range(5):
         assert values[t] == pytest.approx(_entropy_bits(probs[t]), abs=1e-14)
+
+
+@pytest.mark.parametrize("width", [3, 8, 13, 40])
+def test_entropy_rows_bytes_do_not_depend_on_layout(rng, width):
+    # numpy sums a contiguous row of 8+ entries pairwise and a column in order.
+    probs = rng.dirichlet(np.ones(width), size=4096)
+    probs[::7, 1] = 0.0
+    values = entropy_rows(probs, log2_rows(probs))
+    fortran = np.asfortranarray(probs)
+    assert entropy_rows(fortran, log2_rows(fortran)).tobytes() == values.tobytes()
 
 
 def test_entropy_rows_zero_floor_convention():

@@ -27,6 +27,7 @@ from maxentsum import (
     ternary_sum_masses,
     ulc_suite,
 )
+from maxentsum.ulc import residue_classes
 
 
 def binomial_masses(n, p=0.5):
@@ -185,6 +186,19 @@ class TestConditionalUlcReport:
         assert failed.margin == pytest.approx(record["margin"], rel=1e-9)
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["per_class"][record["residue"]]["witness"] == record["witness"]
+
+    @pytest.mark.parametrize("n, r", [(7, 1), (12, 2), (8, 3)])
+    def test_residue_classes_bytes_do_not_depend_on_layout(self, n, r):
+        # Each class has 8+ masses; numpy sums a contiguous row of them
+        # pairwise but a column in order.
+        sums = np.random.default_rng(n).dirichlet(np.ones(n * r + 1), size=4096)
+        sums[::5, 1::r] = 0.0  # some rows lose class 1
+        c_classes = list(residue_classes(sums, r, n))
+        f_classes = list(residue_classes(np.asfortranarray(sums), r, n))
+        for (order, weighted, cond), (f_order, f_weighted, f_cond) in zip(c_classes, f_classes):
+            assert order == f_order
+            assert weighted.tobytes() == f_weighted.tobytes()
+            assert np.ascontiguousarray(cond).tobytes() == np.ascontiguousarray(f_cond).tobytes()
 
     def test_two_summand_certificate_inequality(self):
         # The even-class certificate for two summands dominates the square of
