@@ -15,6 +15,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DomainError, MaxentsumError, NotASpecialCaseError, check_count, is_real
+from .kernels import entropy_rows
 from .pmf import Pmf, binary_entropy
 
 SPECIAL_GENERAL = "general"
@@ -32,15 +33,15 @@ def _check_nr(n: int, r: int) -> None:
 def binomial_half_entropy(n: int) -> float:
     """Entropy in bits of Binomial(n, 1/2); H(B_0) = 0.
 
-    Summed over the exact integers C(n, k) for every n, each mass one
-    correctly rounded C(n, k)/2**n, at a cost of about n**2 bit operations.
+    Correctly rounded masses C(n, k)/2**n and logs from the exact integers
+    C(n, k) (about n**2 bit operations), summed by :func:`kernels.entropy_rows`.
     """
     check_count("n", n, 0)
     n = int(n)
     coeffs = list(accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1))
     probs = np.array([c / (1 << n) for c in coeffs])
     log2c = np.array([math.log2(c) for c in coeffs])
-    return float(-(probs @ (log2c - n))) + 0.0  # + 0.0 turns H(B_0) = -0.0 into 0.0
+    return float(entropy_rows(probs, log2c - n)) + 0.0  # + 0.0 turns H(B_0) = -0.0 into 0.0
 
 
 def conjectured_weight(n: int, r: int) -> float:

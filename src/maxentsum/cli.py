@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from . import suites
 from .bounds import SPECIAL_GENERAL, conjectured_inputs, entropy_lower_bound
@@ -121,7 +122,7 @@ def _parse_bool(text: str) -> bool:
 def _load_config(path: str) -> dict[str, str]:
     settings: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not part of a key
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -264,42 +265,37 @@ def _cmd_sweep(cfg: _Settings) -> int:
     no_timing = cfg.get("no-timing", default=False)
     strict = cfg.get("strict-conjecture", default=False)
     oc = _optimizer_config(cfg)
-
-    lines = [CSV_HEADER]
-    cells = []
-    for n in range(1, n_max + 1):
-        for r in range(1, r_max + 1):
-            t0 = time.perf_counter()
-            result = multistart_maximize(n, r, oc)
-            wall_ms = 0.0 if no_timing else (time.perf_counter() - t0) * 1000.0
-            report = entropy_lower_bound(n, r)
-            bound = report.bound_bits
-            gap = result.gap_to_bound
-            proven = report.special_case != SPECIAL_GENERAL  # equality is a theorem here
-            cells.append((n, r, gap, proven))
-            lines.append(
-                ",".join(
-                    (
-                        str(n),
-                        str(r),
-                        _full(bound),
-                        _full(result.best_value),
-                        _full(gap),
-                        "true" if proven else "false",
-                        str(len(result.per_start)),
-                        _full(result.converged_fraction()),
-                        _full(wall_ms),
+    out_path = cfg.get("out")
+    # Open --out before the first cell, so a bad path fails before any work.
+    with open(out_path, "w", encoding="ascii") if out_path else nullcontext(sys.stdout) as out:
+        lines = [CSV_HEADER]
+        cells = []
+        for n in range(1, n_max + 1):
+            for r in range(1, r_max + 1):
+                t0 = time.perf_counter()
+                result = multistart_maximize(n, r, oc)
+                wall_ms = 0.0 if no_timing else (time.perf_counter() - t0) * 1000.0
+                report = entropy_lower_bound(n, r)
+                bound = report.bound_bits
+                gap = result.gap_to_bound
+                proven = report.special_case != SPECIAL_GENERAL  # equality is a theorem here
+                cells.append((n, r, gap, proven))
+                lines.append(
+                    ",".join(
+                        (
+                            str(n),
+                            str(r),
+                            _full(bound),
+                            _full(result.best_value),
+                            _full(gap),
+                            "true" if proven else "false",
+                            str(len(result.per_start)),
+                            _full(result.converged_fraction()),
+                            _full(wall_ms),
+                        )
                     )
                 )
-            )
-    body = "\n".join(lines) + "\n"
-
-    out_path = cfg.get("out")
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+        out.write("\n".join(lines) + "\n")
 
     proven_gaps = [abs(g) for _, _, g, p in cells if p]
     positive = [(n, r, g, p) for n, r, g, p in cells if g > gap_tol]
@@ -330,7 +326,13 @@ def _cmd_verify(cfg: _Settings) -> int:
     trials = cfg.get("trials", default=10_000)
     seed = cfg.chosen(seed="seed")
     params = {name: cfg.get(name, default=default) for name, default in reads.items()}
-    report = getattr(suites, f"{suite}_suite")(trials=trials, **params, **seed)
+    out_path = cfg.get("out")
+    # Open --out before the first chunk, so a bad path fails before any work.
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext() as fh:
+        report = getattr(suites, f"{suite}_suite")(trials=trials, **params, **seed)
+        if fh:
+            json.dump(report.as_dict(), fh, indent=2)
+            fh.write("\n")
     print(f"suite = {report.suite}")
     print(f"trials = {report.trials}")
     print(f"seed = {report.seed}")
@@ -338,11 +340,7 @@ def _cmd_verify(cfg: _Settings) -> int:
     for key, value in sorted(report.stats.items()):
         rendered = _human(value) if isinstance(value, float) else value
         print(f"{key} = {rendered}")
-    out_path = cfg.get("out")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
         print(f"report written to {out_path}")
     elif report.violations:
         for witness in report.violations[:5]:

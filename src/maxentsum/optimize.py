@@ -63,7 +63,7 @@ from .kernels import (
     toeplitz_rows,
 )
 from .parallel import ordered_map
-from .pmf import Pmf, _entropy_bits, _finalize, _summands
+from .pmf import Pmf, _finalize, _summands
 
 #: Hard cap on ordered grid tuples enumerated by the grid oracle.
 GRID_BUDGET = 100_000_000
@@ -164,8 +164,8 @@ class OptimizationResult:
     gap_to_bound: float
 
     def __post_init__(self):
-        blocks = np.array([[p.probs for p in self.best_inputs]])
-        recomputed = _entropy_bits(fold_rows(blocks)[0])
+        sums = fold_rows(np.array([[p.probs for p in self.best_inputs]]))
+        recomputed = entropy_rows(sums, log2_rows(sums))[0]
         if abs(recomputed - self.best_value) > 1e-12:
             raise MaxentsumError("best_value is inconsistent with best_inputs")
         if any(rec.value > self.best_value for rec in self.per_start):

@@ -20,6 +20,7 @@ from maxentsum import (
     residue_decompose,
     sum_distribution,
 )
+from maxentsum.kernels import entropy_rows
 
 # Frozen reference values, each computed by two independent routes (see the
 # individual tests): optimal weight and bound for three ternary summands, and
@@ -86,12 +87,13 @@ class TestBinomialHalfEntropy:
 
     def test_bit_identical_to_the_former_exact_formula(self):
         # The formula used up to n = 60 before the exact path covered every n:
-        # both round C(n, k) * 2**-n correctly, so the bits must not move.
+        # both round C(n, k) * 2**-n correctly and sum by the kernels' entropy
+        # rule, so the bits must not move.
         for n in range(0, 61):
             coeffs = [math.comb(n, k) for k in range(n + 1)]
             log2c = np.array([math.log2(c) for c in coeffs])
             probs = np.array([float(c) for c in coeffs]) * 2.0 ** -n
-            reference = float(-(probs @ (log2c - n))) if n else 0.0
+            reference = float(entropy_rows(probs, log2c - n)) if n else 0.0
             assert binomial_half_entropy(n).hex() == reference.hex()
 
     def test_large_n_stays_fast(self):

@@ -110,13 +110,29 @@ class TestExitCodes:
         assert code == 3
         assert name in err and out == ""
 
-    def test_io_error_on_unwritable_sweep_path(self, capsys):
-        code, _, err = run(
+    def test_io_error_on_unwritable_sweep_path(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "multistart_maximize", lambda *args: calls.append(args))
+        code, out, err = run(
             capsys,
             "sweep", "--n-max", "1", "--r-max", "1", "--starts", "1",
             "--out", "/nonexistent-dir/sweep.csv",
         )
         assert code == 4
+        assert calls == [] and out == ""  # the path fails before the first cell
+        assert err.startswith("i/o error:")
+
+    def test_io_error_on_unwritable_verify_path(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(suites, "ulc_suite", lambda **kwargs: calls.append(kwargs))
+        code, out, err = run(
+            capsys,
+            "verify", "--suite", "ulc", "--n", "3", "--r", "2", "--trials", "200000",
+            "--out", "/nonexistent-dir/report.json",
+        )
+        assert code == 4
+        assert calls == [] and out == ""  # the path fails before the first chunk
+        assert err.startswith("i/o error:")
 
     def test_clean_verify_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "identity", "--trials", "2000")
@@ -194,6 +210,16 @@ class TestSweepCommand:
         assert first[8] == "0.0"  # timing zeroed
         assert "summary:" in err
 
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        args = ["sweep", "--n-max", "2", "--r-max", "2", "--seed", "5", "--starts", "2",
+                "--no-timing"]
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, *args, "--out", str(path))
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert path.read_bytes() == out.encode("ascii")
+
     def test_byte_identical_with_no_timing(self, capsys, tmp_path):
         args = [
             "sweep", "--n-max", "2", "--r-max", "2", "--seed", "42", "--starts", "4",
@@ -260,6 +286,19 @@ class TestVerifyCommand:
         assert payload["suite"] == "ulc"
         assert payload["passed"] is True
         assert payload["violation_count"] == 0
+
+    def test_report_file_holds_the_suite_report(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys,
+            "verify", "--suite", "decomposition", "--r", "3", "--trials", "300",
+            "--seed", "4", "--out", str(path),
+        )
+        assert code == 0
+        report = suites.decomposition_suite(trials=300, seed=4, r=3)
+        assert path.read_text() == json.dumps(report.as_dict(), indent=2) + "\n"
+        assert out.splitlines()[:3] == ["suite = decomposition", "trials = 300", "seed = 4"]
+        assert out.endswith(f"report written to {path}\n")
 
     def test_report_file_is_strict_json_when_no_class_has_an_interior_index(
         self, capsys, tmp_path
@@ -528,6 +567,13 @@ class TestSettingsPrecedence:
         code, out, err = run(capsys, "bound", "--config", str(config), "--n", "1", "--r", "1")
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and str(config) in err
+
+    def test_config_may_start_with_a_byte_order_mark(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"\xef\xbb\xbfn = 1\nr = 3\n")
+        code, out, err = run(capsys, "bound", "--config", str(config))
+        assert code == 0 and err == ""
+        assert "bound_bits = 2\n" in out  # log2(4)
 
     def test_config_boolean_words(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

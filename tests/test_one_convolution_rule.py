@@ -1,30 +1,135 @@
-"""The package convolves by one rule, ``kernels.conv_rows``.
+"""The package convolves by one rule, ``kernels.conv_rows``, and sums
+entropies by one rule, ``kernels.entropy_rows``.
 
 ``np.convolve`` adds its products in an order of its own, which can differ
 between CPUs.  It stays in two places only: ``pmf.convolve``, which the
 tests pin byte for byte against it, and the independent splitting
 reference of ``suites.decomposition_suite``.
+
+BLAS products (``@``, ``np.dot``, ``np.matmul``) round in an order that
+depends on the BLAS core the CPU selects.  Each place that keeps one is
+listed below with its reason, and the values the package promises to be
+the same on every CPU are compared against a run on another core.
 """
 
 import ast
+import hashlib
+import json
+import os
 import pathlib
+import platform
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from maxentsum import entropy_lower_bound, sum_distribution
+from maxentsum.kernels import fold_rows
+from maxentsum.optimize import grid_oracle
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "maxentsum"
 
+#: The calls that may hand a sum to BLAS or to numpy's own summation order.
+BLAS_CALLS = ("dot", "matmul", "convolve")
 
-def np_convolve_callers():
-    """(module, top-level function) of every ``np.convolve`` call in the package."""
-    callers = []
+#: (module, top-level definition) of every place that may round by BLAS.
+BLAS_SITES = {
+    # The optimizer's Toeplitz products, its hot path: start values and step
+    # counts may differ between CPUs.
+    ("kernels.py", "sum_law_rows"),
+    ("kernels.py", "gradient_rows"),
+    ("optimize.py", "_ascent_terms"),
+    # Exact integer counts, at most K^n < 2^53, round alike everywhere.
+    ("optimize.py", "_near_best_heads"),
+    # The per-object Pmf API, faster per call than the kernels.
+    ("pmf.py", "_entropy_bits"),
+    ("pmf.py", "convolve"),
+    # The splitting reference, deliberately another rule than the package's.
+    ("suites.py", "decomposition_suite"),
+}
+
+
+def callers(matches):
+    """(module, top-level definition) of each node of the package that
+    ``matches``, in file order."""
+    found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Attribute) and node.attr == "convolve"
-                        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
-                    callers.append((path.name, getattr(top, "name", None)))
-    return callers
+                if matches(node):
+                    found.append((path.name, getattr(top, "name", None)))
+    return found
+
+
+def np_convolve_callers():
+    """(module, top-level function) of every ``np.convolve`` call in the package."""
+    return callers(lambda node: isinstance(node, ast.Attribute) and node.attr == "convolve"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def blas_sites():
+    """Where the package has an ``@``, an ``@=`` or an attribute named in ``BLAS_CALLS``."""
+    return set(callers(
+        lambda node: isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS
+    ))
 
 
 def test_np_convolve_stays_in_its_two_places():
     assert np_convolve_callers() == [("pmf.py", "convolve"), ("suites.py", "decomposition_suite")]
+
+
+def test_blas_stays_in_its_listed_places():
+    assert sorted(blas_sites()) == sorted(BLAS_SITES)
+
+
+def _sha(parts) -> str:
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _hexed(value):
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    return value.hex() if isinstance(value, float) else value
+
+
+def bit_digests() -> dict:
+    """SHA-256 of the exact bits of each result that must not depend on the CPU."""
+    rng = np.random.default_rng(20240)
+    shapes = [(1, 2), (3, 3), (5, 4), (12, 3), (30, 2), (9, 11)]
+    inputs = [rng.dirichlet(np.ones(m), size=n) for n, m in shapes]
+    blocks = [rng.dirichlet(np.ones(m), size=(rows, count)) for rows, count, m in
+              [(7, 5, 4), (3, 12, 3), (2, 30, 2), (5, 9, 11)]]
+    return {
+        "entropy_lower_bound": _sha(
+            json.dumps(_hexed(entropy_lower_bound(n, r).as_dict()), sort_keys=True)
+            for n in range(1, 41) for r in range(1, 9)
+        ),
+        "sum_distribution": _sha(
+            sum_distribution(list(rows)).probs.tobytes().hex() for rows in inputs
+        ),
+        "fold_rows": _sha(fold_rows(b).tobytes().hex() for b in blocks),
+        "grid_oracle": _sha(
+            grid_oracle(*args).hex() for args in [(2, 2, 12), (3, 2, 6), (1, 3, 10)]
+        ),
+    }
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 cores")
+def test_results_do_not_depend_on_the_blas_core():
+    # Prescott is OpenBLAS's plain SSE3 core; its dot product adds in another
+    # order than the AVX cores that a DYNAMIC_ARCH build picks on newer CPUs.
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'tests')!r}, {str(ROOT / 'src')!r}]\n"
+        "from test_one_convolution_rule import bit_digests\n"
+        "print(json.dumps(bit_digests()))\n"
+    )
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert json.loads(done.stdout) == bit_digests()

@@ -171,6 +171,39 @@ class TestBlockAscend:
         assert entropy(sum_distribution([out, Pmf(other)])) == pytest.approx(value, abs=1e-4)
 
 
+class TestNewtonExponent:
+    def test_is_slope_over_curvature_along_the_update_curve(self):
+        # f'(0) / -f''(0) of H(S_n) along q(eta) ∝ p exp(eta c), c = g - g.p,
+        # by central differences; a curve that is not concave gets _ETA_MAX.
+        rng = np.random.default_rng(0)
+        h = 1e-3
+        checked = 0
+        for _ in range(40):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            blocks = rng.dirichlet(np.ones(m), size=(1, n))
+            i = int(rng.integers(0, n))
+            toeplitz, sums, logs, _ = optimize._block_terms(blocks, np.array([i]))
+            p = blocks[0, i]
+            _, _, newton = optimize._ascent_terms(
+                toeplitz, sums, logs, np.zeros((1, m)), p[None])
+            inputs = [Pmf(b) for b in blocks[0]]
+            g = objective_gradient(inputs, i)
+            c = g - g @ p
+
+            def value(eta):
+                q = p * np.exp(eta * c)
+                return entropy(sum_distribution(inputs[:i] + [q / q.sum()] + inputs[i + 1:]))
+
+            lo, mid, hi = value(-h), value(0.0), value(h)
+            slope, curvature = (hi - lo) / (2 * h), (hi - 2 * mid + lo) / h**2
+            if newton[0] == optimize._ETA_MAX:
+                assert curvature > -1e-6
+            else:
+                checked += 1
+                assert newton[0] == pytest.approx(slope / -curvature, rel=2e-3)
+        assert checked >= 10
+
+
 class TestMultistart:
     def test_single_summand_reaches_uniform(self):
         cfg = OptimizerConfig(starts=8, seed=0)
