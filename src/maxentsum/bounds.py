@@ -41,7 +41,7 @@ def binomial_half_entropy(n: int) -> float:
     coeffs = list(accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1))
     probs = np.array([c / (1 << n) for c in coeffs])
     log2c = np.array([math.log2(c) for c in coeffs])
-    return float(entropy_rows(probs, log2c - n)) + 0.0  # + 0.0 turns H(B_0) = -0.0 into 0.0
+    return float(entropy_rows(probs, log2c - n))
 
 
 def conjectured_weight(n: int, r: int) -> float:

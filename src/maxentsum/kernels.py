@@ -24,6 +24,8 @@ from .errors import check_count
 ZERO_FLOOR = 1e-300
 
 LOG2E = math.log2(math.e)
+#: Cap of the block update's Newton exponent (:func:`block_rows`).
+_ETA_MAX = 1e6
 
 
 def seeded_rng(seed: int, index: int) -> np.random.Generator:
@@ -86,24 +88,43 @@ def entropy_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row; masses at or below the zero floor add 0."""
     terms = np.zeros(probs.shape)  # row-major, whatever the input layout
     np.multiply(probs, logs, out=terms, where=probs > ZERO_FLOOR)
-    return np.maximum(-np.add.reduce(terms, axis=-1), 0.0)
+    # 0.0 - s is +0.0 for a zero sum, so no SIMD path can return -0.0.
+    return np.maximum(0.0 - np.add.reduce(terms, axis=-1), 0.0)
 
 
-def sum_law_rows(toeplitz: np.ndarray, p: np.ndarray):
-    """Sum law ``T @ p`` of each row's block ``p`` (rows, m) against its rest's
-    Toeplitz matrix, with its clamped logs and its entropy in bits."""
+def block_rows(toeplitz: np.ndarray, p: np.ndarray, neg: np.ndarray):
+    """A block's calculus at each row's block ``p`` (rows, m), with ``T`` its
+    rest's Toeplitz matrix and ``neg`` 0 on free coordinates, ``-inf`` on
+    pinned ones: the entropy in bits of the sum law ``S = T @ p``, the
+    gradient ``g``, ``g`` shifted to a zero maximum over the free coordinates
+    (``-inf`` elsewhere), the stationarity gap ``max g - g.p`` and the Newton
+    exponent of the block update.
+
+    ``d H / d p_a = -sum_s rest[s - a] (log2 S_s + log2 e)``, with the logs
+    clamped at the zero floor, which feasible directions never probe from
+    interior points.  Along the update curve ``q(eta) ∝ p exp(eta g)``, with
+    ``c = g - g.p`` and ``d = p c``, the entropy has slope ``f'(0) = sum p c^2``
+    and curvature ``-f''(0) = (1/ln 2) sum_s (T d)_s^2 / S_s - sum p c^3``.
+    The Newton exponent is ``f'(0) / -f''(0)``, capped at ``_ETA_MAX``; it is
+    ``_ETA_MAX`` where the curve is flat or not concave.
+    """
     sums = np.matmul(toeplitz, p[:, :, None])[:, :, 0]
     logs = log2_rows(sums)
-    return sums, logs, entropy_rows(sums, logs)
-
-
-def gradient_rows(toeplitz: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Gradient of the sum entropy with respect to each row's block.
-
-    ``d H / d p_a = -sum_s rest[s - a] (log2 P(s) + log2 e)``, with the logs
-    clamped at the zero floor, which feasible directions never probe from
-    interior points.
-    """
     # Negate the terms rather than the product: one pass fewer, same bits.
-    terms = (-LOG2E - logs)[:, None, :]
-    return np.matmul(terms, toeplitz)[:, 0, :]
+    grad = np.matmul((-LOG2E - logs)[:, None, :], toeplitz)[:, 0, :]
+    masked = grad + neg
+    top = np.maximum.reduce(masked, axis=1, keepdims=True)
+    mean = np.add.reduce(grad * p, axis=1, keepdims=True)
+    c = grad - mean
+    d = p * c
+    dc = d * c
+    slope = np.add.reduce(dc, axis=1)
+    td = np.matmul(toeplitz, d[:, :, None])[:, :, 0]
+    td *= td
+    td /= np.maximum(sums, ZERO_FLOOR)
+    curv = np.add.reduce(td, axis=1)
+    curv *= LOG2E  # 1 / ln 2
+    curv -= np.add.reduce(dc * c, axis=1)
+    newton = np.full_like(slope, _ETA_MAX)
+    np.divide(slope, curv, out=newton, where=(curv * _ETA_MAX > slope) & (slope > 0.0))
+    return entropy_rows(sums, logs), grad, masked - top, top[:, 0] - mean[:, 0], newton

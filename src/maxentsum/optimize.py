@@ -51,15 +51,13 @@ import numpy as np
 from .bounds import _check_nr, conjectured_inputs, entropy_lower_bound
 from .errors import BudgetExceededError, DomainError, MaxentsumError, check_count, is_real
 from .kernels import (
-    LOG2E,
     ZERO_FLOOR,
+    block_rows,
     conv_rows,
     entropy_rows,
     fold_rows,
-    gradient_rows,
     log2_rows,
     seeded_rng,
-    sum_law_rows,
     toeplitz_rows,
 )
 from .parallel import ordered_map
@@ -100,7 +98,6 @@ _XFROM = 16
 #: half of the live rows or the oldest has waited this many iterations: one
 #: batched block transition costs about as much as the transition of one row.
 _WAIT = 20
-_ETA_MAX = 1e6
 #: The least block exponent.  At ln 2 the update ``p * 2^shift`` is the
 #: Blahut-Arimoto step, which never lowers H(S_n) in exact arithmetic, so a
 #: candidate at this exponent is accepted without comparing rounded values.
@@ -191,45 +188,14 @@ class OptimizationResult:
         }
 
 
-def _block_terms(blocks: np.ndarray, cur: np.ndarray):
+def _block_terms(blocks: np.ndarray, cur: np.ndarray, neg: np.ndarray):
     """Toeplitz matrix of each row's rest (its blocks but ``cur``, folded in
-    ascending order), then :func:`sum_law_rows`."""
+    ascending order), then :func:`block_rows` of block ``cur`` under ``neg``."""
     rows = np.arange(blocks.shape[0])
     k = np.arange(blocks.shape[1] - 1)
     rest = fold_rows(blocks[rows[:, None], k + (k >= cur[:, None])])
     toeplitz = toeplitz_rows(rest, blocks.shape[2])
-    return (toeplitz, *sum_law_rows(toeplitz, blocks[rows, cur]))
-
-
-def _ascent_terms(toeplitz: np.ndarray, sums: np.ndarray, logs: np.ndarray,
-                  neg: np.ndarray, p: np.ndarray):
-    """The block update's terms at ``p``: the gradient shifted to a zero
-    maximum over the free coordinates (``-inf`` elsewhere), the stationarity
-    gap ``max g - g.p`` and the Newton exponent.
-
-    Along the update curve ``q(eta) ∝ p exp(eta g)``, with ``c = g - g.p`` and
-    ``d = p c``, the objective has slope ``f'(0) = sum p c^2`` and curvature
-    ``-f''(0) = (1/ln 2) sum_s (T d)_s^2 / S_s - sum p c^3``.  The Newton
-    exponent is ``f'(0) / -f''(0)``, capped at ``_ETA_MAX``; it is
-    ``_ETA_MAX`` where the curve is flat or not concave.
-    """
-    grad = gradient_rows(toeplitz, logs)
-    masked = grad + neg
-    top = np.maximum.reduce(masked, axis=1, keepdims=True)
-    mean = np.add.reduce(grad * p, axis=1, keepdims=True)
-    c = grad - mean
-    d = p * c
-    dc = d * c
-    slope = np.add.reduce(dc, axis=1)
-    td = np.matmul(toeplitz, d[:, :, None])[:, :, 0]
-    td *= td
-    td /= np.maximum(sums, ZERO_FLOOR)
-    curv = np.add.reduce(td, axis=1)
-    curv *= LOG2E  # 1 / ln 2
-    curv -= np.add.reduce(dc * c, axis=1)
-    newton = np.full_like(slope, _ETA_MAX)
-    np.divide(slope, curv, out=newton, where=(curv * _ETA_MAX > slope) & (slope > 0.0))
-    return masked - top, top[:, 0] - mean[:, 0], newton
+    return (toeplitz, *block_rows(toeplitz, blocks[rows, cur], neg))
 
 
 def _face_moves(p: np.ndarray, shift: np.ndarray, gap: np.ndarray):
@@ -343,14 +309,11 @@ class _Lockstep:
         active = self.active[:, None]
         q = np.exp(self.eta * self.shift)
         q *= self.p
-        q /= np.add.reduce(q, axis=1, keepdims=True)
-        sums, logs, value = sum_law_rows(self.toeplitz, q)
+        total = np.add.reduce(q, axis=1, keepdims=True)
+        np.divide(q, total, out=q, where=total > 0.0)  # every mass may underflow
+        value, _, shift, gap, newton = block_rows(self.toeplitz, q, self.block_neg[self.cur])
         accepted = (value >= self.value) | (self.eta[:, 0] <= _ETA_BA)
-        accepted &= self.active
-        if not accepted.any():
-            np.maximum(0.5 * self.eta, _ETA_BA, out=self.eta, where=active)
-            return accepted.nonzero()[0]
-        shift, gap, newton = _ascent_terms(self.toeplitz, sums, logs, self.block_neg[self.cur], q)
+        accepted &= self.active & (total[:, 0] > 0.0)
         column = accepted[:, None]
         np.copyto(self.p, q, where=column)
         np.copyto(self.shift, shift, where=column)
@@ -368,22 +331,18 @@ class _Lockstep:
         if not idx.size:
             return idx
         cur = self.cur[idx]
-        blocks = self.blocks[idx]
-        p = blocks[np.arange(idx.size), cur]
-        toeplitz, sums, logs, value = _block_terms(blocks, cur)
         neg = self.block_neg[cur]
-        shift, gap, newton = _ascent_terms(toeplitz, sums, logs, neg, p)
+        toeplitz, value, _, shift, gap, newton = _block_terms(self.blocks[idx], cur, neg)
+        p = self.blocks[idx, cur]
         q, moves = _face_moves(p, shift, gap)
         if moves.any():
             rows = moves.nonzero()[0]
             self.steps[idx[rows]] += 1
-            sums, logs, moved = sum_law_rows(toeplitz[rows], q[rows])
-            keep = moved >= value[rows]
+            moved = block_rows(toeplitz[rows], q[rows], neg[rows])
+            keep = moved[0] >= value[rows]
             rows = rows[keep]
             p[rows] = q[rows]
-            value[rows] = moved[keep]
-            shift[rows], gap[rows], newton[rows] = _ascent_terms(
-                toeplitz[rows], sums[keep], logs[keep], neg[rows], p[rows])
+            value[rows], _, shift[rows], gap[rows], newton[rows] = (t[keep] for t in moved)
         self.toeplitz[idx] = toeplitz
         self.p[idx] = p
         self.shift[idx] = shift
@@ -499,8 +458,7 @@ def _one_row(inputs, i: int, caller: str) -> np.ndarray:
 def objective_gradient(inputs, i: int) -> np.ndarray:
     """Gradient of H(S_n) with respect to the masses of block ``i``."""
     blocks = _one_row(inputs, i, "objective_gradient")
-    toeplitz, _, logs, _ = _block_terms(blocks, np.array([i]))
-    return gradient_rows(toeplitz, logs)[0]
+    return _block_terms(blocks, np.array([i]), np.zeros((1, blocks.shape[2])))[2][0]
 
 
 def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
@@ -686,13 +644,12 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     counts = _grid_counts(resolution, r)
     grid = counts / resolution
     if n == 1:
-        # Adding 0.0 turns the -0.0 of an all-point-mass grid into +0.0.
-        return float(entropy_rows(grid, log2_rows(grid)).max()) + 0.0
+        return float(entropy_rows(grid, log2_rows(grid)).max())
     # Float values lie within about 1e-14 bits of the exact entropies, far
     # inside the screen's slack, so the head that holds the float maximum over
     # all heads passes the screen, and the result is that maximum.
     best = -math.inf
     for head in _near_best_heads(counts, n, _ORACLE_SLACK * resolution**n):
         sums = conv_rows(fold_rows(grid[head][None]), grid[head[-1] :])
-        best = max(best, float(entropy_rows(sums, log2_rows(sums)).max()) + 0.0)
+        best = max(best, float(entropy_rows(sums, log2_rows(sums)).max()))
     return best

@@ -36,11 +36,9 @@ BLAS_CALLS = ("dot", "matmul", "convolve")
 
 #: (module, top-level definition) of every place that may round by BLAS.
 BLAS_SITES = {
-    # The optimizer's Toeplitz products, its hot path: start values and step
-    # counts may differ between CPUs.
-    ("kernels.py", "sum_law_rows"),
-    ("kernels.py", "gradient_rows"),
-    ("optimize.py", "_ascent_terms"),
+    # A block's sum law, gradient and curvature by Toeplitz products, the
+    # optimizer's hot path: start values and step counts may differ between CPUs.
+    ("kernels.py", "block_rows"),
     # Exact integer counts, at most K^n < 2^53, round alike everywhere.
     ("optimize.py", "_near_best_heads"),
     # The per-object Pmf API, faster per call than the kernels.
