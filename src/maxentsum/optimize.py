@@ -467,7 +467,9 @@ def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
     The returned block does not lower the objective beyond float rounding
     and satisfies first-order simplex stationarity within ``INNER_TOL``
     unless the inner budget runs out first; its gap ``max g - g.p`` then
-    bounds what any further change of block ``i`` could add.  ``config`` is
+    bounds what any further change of block ``i`` could add.  A block whose
+    budget runs out is entered once more: its entry move lifts a mass that
+    underflowed to 0 and then became the gradient's top.  ``config`` is
     ignored, since none of its settings applies to one block; it is still
     accepted because the benchmark's layer probe passes one.
     """
@@ -475,10 +477,15 @@ def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
     n, m = blocks.shape[1:]
     run = _Lockstep(blocks, np.zeros((n, m)), OptimizerConfig.outer_tol)  # ends no sweep
     run.cur[0] = i
-    if not run.enter(run.ids).size:
+    for _ in range(2):
+        if run.enter(run.ids).size:
+            break
         run.stop[0] = INNER_TOL
         while not run.step().size:
             pass
+        if run.gap[0] <= INNER_TOL:
+            break
+        run.blocks[0, i] = run.p[0]
     return _finalize(run.p[0].copy(), "block_ascend")
 
 
@@ -570,16 +577,25 @@ def _grid_counts(resolution: int, r: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1.0, append=float(slots)) - 1.0
 
 
-def _near_best_heads(counts: np.ndarray, n: int, slack: float) -> np.ndarray:
+def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
     """The sorted heads (first n - 1 indices) whose best exact score is near the least.
 
     A head's pair with tail j >= its last index has the integer sum-law counts
     C (each at most K^n < 2^53, so exact in float64) and the score
     sum C log2 C, which is K^n (n log2 K - H).  A head is kept when its least
-    score lies within ``slack`` of the least score of all heads.  Heads run in
-    order of their last index, a chunk of them at a time against the tails
-    from the chunk's least last index on, so that each of the two buffers
-    that every chunk reuses holds about ``_ORACLE_CHUNK`` elements.
+    score lies within ``_ORACLE_SLACK`` bits of the least score of all heads.
+    Heads run in order of their last index, a chunk of them at a time against
+    the tails from the chunk's least last index on, so that each of the two
+    buffers that every chunk reuses holds about ``_ORACLE_CHUNK`` elements.
+
+    A bound pass first drops heads that cannot be kept.  H(X * t) is concave in
+    the tail t, X a head's float sum law, so at any y > 0 the value plus the
+    gap of :func:`block_rows` bounds it over every tail.  Chunks of heads step
+    from uniform y by Blahut-Arimoto (``_Lockstep.step`` at ``_ETA_BA``).  The
+    incumbent is the exact best over all tails of each head whose value is the
+    best yet, a real grid tuple; a head whose bound falls more than the slack
+    and 1e-12 bits under it is dropped.  A chunk steps while it has heads
+    undecided and its steps have read fewer elements than their screen would.
     """
     grid_size, m = counts.shape
     heads = np.fromiter(
@@ -592,22 +608,55 @@ def _near_best_heads(counts: np.ndarray, n: int, slack: float) -> np.ndarray:
     tails = np.ascontiguousarray(counts.T)  # halves the matmul time against counts.T
     last = heads[:, -1]
     width = n * (m - 1) + 1
+    slack = _ORACLE_SLACK * resolution**n
     # Fresh temporaries per chunk would cost page faults and grow the heap.
     buffers = np.empty((2, max(_ORACLE_CHUNK, grid_size * width)))
+
+    def scores(rows: np.ndarray, lo: int) -> np.ndarray:
+        """The scores of heads ``rows`` against the tails from ``lo`` on."""
+        shape = (len(rows), width, grid_size - lo)
+        sums, terms = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
+        np.matmul(toeplitz_rows(fold_rows(counts[rows]), m), tails[:, lo:], out=sums)
+        np.maximum(sums, 1.0, out=terms)
+        np.log2(terms, out=terms)
+        terms *= sums
+        return terms.sum(axis=1)
+
+    bound = np.full(len(heads), math.inf)
+    least, lead = math.inf, -math.inf
+    # With block_rows's temporaries a head's bound takes about 4 Toeplitz matrices.
+    rows = max(1, _ORACLE_CHUNK // (4 * width * m))
+    for a in range(0, len(heads), rows):
+        live = np.arange(a, min(a + rows, len(heads)))
+        toeplitz = toeplitz_rows(fold_rows(counts[heads[live]] / resolution), m)
+        y = np.full((live.size, m), 1.0 / m)
+        spent = 0
+        while live.size:
+            value, _, shift, gap, _ = block_rows(toeplitz, y, np.zeros(y.shape))
+            # X's positive masses are at least K^(1-n): no mass of X * y is clamped.
+            exact = y.min(axis=1) > ZERO_FLOOR * resolution**n
+            bound[live] = np.minimum(bound[live], np.where(exact, value + gap, math.inf))
+            if value.max() > lead:
+                lead = value.max()
+                least = min(least, scores(heads[live[[value.argmax()]]], 0).min())
+            cut = n * math.log2(resolution) - (least + slack) / resolution**n - 1e-12
+            undecided = (bound[live] >= cut) & (value < cut)
+            spent += toeplitz.size
+            if ((grid_size - last[live[undecided]]) * width).sum() <= spent:
+                break
+            live, toeplitz, shift, y = (t[undecided] for t in (live, toeplitz, shift, y))
+            y *= np.exp2(shift)
+            y /= np.add.reduce(y, axis=1, keepdims=True)
+    heads = heads[bound >= cut]
+    last = heads[:, -1]
     head_scores = np.empty(len(heads))
     a = 0
     while a < len(heads):
         lo = last[a]
         b = min(len(heads), a + max(1, _ORACLE_CHUNK // ((grid_size - lo) * width)))
-        shape = (b - a, width, grid_size - lo)
-        sums, terms = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
-        np.matmul(toeplitz_rows(fold_rows(counts[heads[a:b]]), m), tails[:, lo:], out=sums)
-        np.maximum(sums, 1.0, out=terms)
-        np.log2(terms, out=terms)
-        terms *= sums
-        scores = terms.sum(axis=1)
-        scores[np.arange(lo, grid_size) < last[a:b, None]] = math.inf  # tails below the head
-        head_scores[a:b] = scores.min(axis=1)
+        chunk = scores(heads[a:b], lo)
+        chunk[np.arange(lo, grid_size) < last[a:b, None]] = math.inf  # tails below the head
+        head_scores[a:b] = chunk.min(axis=1)
         a = b
     return heads[head_scores <= head_scores.min() + slack]
 
@@ -649,7 +698,7 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     # inside the screen's slack, so the head that holds the float maximum over
     # all heads passes the screen, and the result is that maximum.
     best = -math.inf
-    for head in _near_best_heads(counts, n, _ORACLE_SLACK * resolution**n):
+    for head in _near_best_heads(counts, n, resolution):
         sums = conv_rows(fold_rows(grid[head][None]), grid[head[-1] :])
         best = max(best, float(entropy_rows(sums, log2_rows(sums)).max()))
     return best

@@ -179,6 +179,16 @@ class TestBlockAscend:
         assert np.isfinite(out.probs).all()
         assert entropy(sum_distribution([out, Pmf([0.5, 0.0, 0.5])])) >= before
 
+    def test_block_whose_budget_runs_out_is_entered_again(self):
+        # The last mass underflows to 0 and then becomes the gradient's top:
+        # one entry spends its budget at [0.5, 0.5, 0], gap 497.3 bits, H 2.0.
+        # The block maximum is (a, 1 - 2a, a), a = 1 - 1/sqrt(2).
+        other = [0.5, 0.0, 0.5]
+        out = block_ascend([[1.0, 0.0, 0.0], other], 0)
+        grad = objective_gradient([out, other], 0)
+        assert grad.max() - grad @ out.probs <= optimize.INNER_TOL
+        assert entropy(sum_distribution([out, Pmf(other)])) == pytest.approx(2.2716, abs=1e-4)
+
 
 class TestNewtonExponent:
     def test_is_slope_over_curvature_along_the_update_curve(self):
@@ -655,6 +665,28 @@ ORACLE_CELLS = [
 ]
 
 
+def exact_scores(n, r, k, all_tails):
+    """The sorted heads in the screen's order, each with its least exact score
+    sum C log2 C over its tails: all grid pmfs, or those from its last index on."""
+    counts = optimize._grid_counts(k, r)
+    heads = np.array(list(itertools.combinations_with_replacement(range(len(counts)), n - 1)))
+    heads = heads[np.argsort(heads[:, -1], kind="stable")]
+    scores = []
+    for head in heads:
+        partial = counts[head[0]]
+        for idx in head[1:]:
+            partial = np.convolve(partial, counts[idx])
+        sums = conv_rows(partial[None, :], counts[0 if all_tails else head[-1] :])
+        scores.append((sums * np.log2(np.maximum(sums, 1.0))).sum(axis=1).min())
+    return heads, np.array(scores)
+
+
+def unpruned_heads(n, r, k):
+    """Every head whose least score lies within the oracle's slack of the least."""
+    heads, scores = exact_scores(n, r, k, all_tails=False)
+    return heads[scores <= scores.min() + optimize._ORACLE_SLACK * k**n]
+
+
 class TestGridOracle:
     def test_fair_coin_on_grid(self):
         assert grid_oracle(1, 1, 2) == pytest.approx(1.0, abs=1e-15)
@@ -680,8 +712,38 @@ class TestGridOracle:
     def test_equals_per_head_evaluation(self, n, r, k):
         assert grid_oracle(n, r, k) == per_head_oracle(n, r, k)
 
+    @pytest.mark.parametrize("n,r,k", [cell for cell in ORACLE_CELLS if cell[0] > 1])
+    def test_bound_pass_keeps_the_unpruned_heads(self, n, r, k):
+        kept = optimize._near_best_heads(optimize._grid_counts(k, r), n, k)
+        assert kept.tolist() == unpruned_heads(n, r, k).tolist()
+
+    @pytest.mark.parametrize("n,r,k", [(2, 2, 24), (2, 3, 24), (3, 2, 12)])
+    def test_head_bounds_cover_every_tail(self, monkeypatch, n, r, k):
+        # Each evaluation of the bound pass bounds H(X * t) over every grid
+        # tail t by its value plus its gap, X its head's sum law, with room to
+        # spare under the 1e-12 bits a pruned bound must fall short by.
+        counts = optimize._grid_counts(k, r)
+        heads, scores = exact_scores(n, r, k, all_tails=True)
+        best = n * math.log2(k) - scores / k**n
+        laws = kernels.fold_rows(counts[heads])
+        index = {laws[h].tobytes(): h for h in range(len(heads))}
+        seen = []
+
+        def spy(toeplitz, p, neg):
+            out = kernels.block_rows(toeplitz, p, neg)
+            seen.append((toeplitz[:, : laws.shape[1], 0] * k ** (n - 1), out[0] + out[3]))
+            return out
+
+        monkeypatch.setattr(optimize, "block_rows", spy)
+        optimize._near_best_heads(counts, n, k)
+        assert len(seen) > 1
+        for law, bound in seen:
+            rows = [index[row.tobytes()] for row in np.rint(law)]
+            assert (bound >= best[rows] - 1e-13).all()
+
     def test_one_head_per_chunk(self, monkeypatch):
-        cells = [(2, 2, 24), (3, 2, 12), (4, 1, 10)]
+        # At (2, 2, 48) the bound pass steps its one-head chunks before it drops them.
+        cells = [(2, 2, 24), (3, 2, 12), (4, 1, 10), (2, 2, 48)]
         values = [grid_oracle(*cell) for cell in cells]
         monkeypatch.setattr(optimize, "_ORACLE_CHUNK", 1)
         assert [grid_oracle(*cell) for cell in cells] == values
