@@ -53,7 +53,6 @@ from .errors import BudgetExceededError, DomainError, MaxentsumError, check_coun
 from .kernels import (
     ZERO_FLOOR,
     block_rows,
-    conv_rows,
     entropy_rows,
     fold_rows,
     log2_rows,
@@ -69,12 +68,9 @@ GRID_BUDGET = 100_000_000
 #: pmfs of r + 1 entries each, 32 MiB of float64 at the cap.  At n = 1 the
 #: tuple budget alone would admit arrays of gigabytes.
 GRID_ELEMENTS = 1 << 22
-#: The grid oracle's screen scores heads in chunks whose two work buffers
-#: hold about this many elements each (more only when one head needs more).
+#: The grid oracle works on chunks of heads whose arrays hold about this many
+#: elements (more only when one head needs more).
 _ORACLE_CHUNK = 1 << 16
-#: Heads whose exact best entropy lies within this many bits of the grid
-#: maximum are evaluated in floating point.
-_ORACLE_SLACK = 1e-9
 #: Final start values closer than this count as one local value.
 _DISTINCT_TOL = 1e-8
 
@@ -578,26 +574,20 @@ def _grid_counts(resolution: int, r: int) -> np.ndarray:
 
 
 def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
-    """The sorted heads (first n - 1 indices) whose best exact score is near the least.
+    """The sorted heads (first n - 1 indices) that may hold the grid maximum,
+    in order of their last index.
 
-    A head's pair with tail j >= its last index has the integer sum-law counts
-    C (each at most K^n < 2^53, so exact in float64) and the score
-    sum C log2 C, which is K^n (n log2 K - H).  A head is kept when its least
-    score lies within ``_ORACLE_SLACK`` bits of the least score of all heads.
-    Heads run in order of their last index, a chunk of them at a time against
-    the tails from the chunk's least last index on, so that each of the two
-    buffers that every chunk reuses holds about ``_ORACLE_CHUNK`` elements.
-
-    A bound pass first drops heads that cannot be kept.  H(X * t) is concave in
-    the tail t, X a head's float sum law, so at any y > 0 the value plus the
-    gap of :func:`block_rows` bounds it over every tail.  Chunks of heads step
-    from uniform y by Blahut-Arimoto (``_Lockstep.step`` at ``_ETA_BA``).  The
-    incumbent is the exact best over all tails of each head whose value is the
-    best yet, a real grid tuple; a head whose bound falls more than the slack
-    and 1e-12 bits under it is dropped.  A chunk steps while it has heads
-    undecided and its steps have read fewer elements than their screen would.
+    H(X * t) is concave in the tail t, X a head's sum law, so at any y > 0 the
+    value plus the gap of :func:`block_rows` bounds it over every tail.  Chunks
+    of heads step from uniform y by Blahut-Arimoto (``_Lockstep.step`` at
+    ``_ETA_BA``).  The incumbent is the best over all tails of each head whose
+    value is the best yet, a real grid tuple's entropy; a head whose bound
+    falls more than 1e-12 bits under it is dropped.  A chunk steps while it
+    has heads undecided and its steps have read fewer elements than the
+    evaluation of those heads would.
     """
     grid_size, m = counts.shape
+    grid = counts / resolution
     heads = np.fromiter(
         itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(grid_size), n - 1)
@@ -605,30 +595,15 @@ def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
         dtype=np.intp,
     ).reshape(-1, n - 1)
     heads = heads[np.argsort(heads[:, -1], kind="stable")]
-    tails = np.ascontiguousarray(counts.T)  # halves the matmul time against counts.T
     last = heads[:, -1]
     width = n * (m - 1) + 1
-    slack = _ORACLE_SLACK * resolution**n
-    # Fresh temporaries per chunk would cost page faults and grow the heap.
-    buffers = np.empty((2, max(_ORACLE_CHUNK, grid_size * width)))
-
-    def scores(rows: np.ndarray, lo: int) -> np.ndarray:
-        """The scores of heads ``rows`` against the tails from ``lo`` on."""
-        shape = (len(rows), width, grid_size - lo)
-        sums, terms = (buffer[: math.prod(shape)].reshape(shape) for buffer in buffers)
-        np.matmul(toeplitz_rows(fold_rows(counts[rows]), m), tails[:, lo:], out=sums)
-        np.maximum(sums, 1.0, out=terms)
-        np.log2(terms, out=terms)
-        terms *= sums
-        return terms.sum(axis=1)
-
     bound = np.full(len(heads), math.inf)
-    least, lead = math.inf, -math.inf
+    best, lead = -math.inf, -math.inf
     # With block_rows's temporaries a head's bound takes about 4 Toeplitz matrices.
     rows = max(1, _ORACLE_CHUNK // (4 * width * m))
     for a in range(0, len(heads), rows):
         live = np.arange(a, min(a + rows, len(heads)))
-        toeplitz = toeplitz_rows(fold_rows(counts[heads[live]] / resolution), m)
+        toeplitz = toeplitz_rows(fold_rows(grid[heads[live]]), m)
         y = np.full((live.size, m), 1.0 / m)
         spent = 0
         while live.size:
@@ -638,8 +613,9 @@ def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
             bound[live] = np.minimum(bound[live], np.where(exact, value + gap, math.inf))
             if value.max() > lead:
                 lead = value.max()
-                least = min(least, scores(heads[live[[value.argmax()]]], 0).min())
-            cut = n * math.log2(resolution) - (least + slack) / resolution**n - 1e-12
+                sums = grid @ toeplitz[value.argmax()].T
+                best = max(best, entropy_rows(sums, log2_rows(sums)).max())
+            cut = best - 1e-12
             undecided = (bound[live] >= cut) & (value < cut)
             spent += toeplitz.size
             if ((grid_size - last[live[undecided]]) * width).sum() <= spent:
@@ -647,18 +623,7 @@ def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
             live, toeplitz, shift, y = (t[undecided] for t in (live, toeplitz, shift, y))
             y *= np.exp2(shift)
             y /= np.add.reduce(y, axis=1, keepdims=True)
-    heads = heads[bound >= cut]
-    last = heads[:, -1]
-    head_scores = np.empty(len(heads))
-    a = 0
-    while a < len(heads):
-        lo = last[a]
-        b = min(len(heads), a + max(1, _ORACLE_CHUNK // ((grid_size - lo) * width)))
-        chunk = scores(heads[a:b], lo)
-        chunk[np.arange(lo, grid_size) < last[a:b, None]] = math.inf  # tails below the head
-        head_scores[a:b] = chunk.min(axis=1)
-        a = b
-    return heads[head_scores <= head_scores.min() + slack]
+    return heads[bound >= cut]
 
 
 def grid_oracle(n: int, r: int, resolution: int) -> float:
@@ -667,12 +632,12 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     Always a lower estimate of the true maximum, and nondecreasing along
     refinements K -> c*K (whose grids are nested).  The objective is
     permutation symmetric, so only sorted index tuples are scored.  For
-    n >= 2 a screen scores every sorted tuple from exact integer counts and
-    keeps the heads (the first n - 1 indices) whose best exact entropy lies
-    within ``_ORACLE_SLACK`` bits of the maximum; only those heads are
-    evaluated in floating point, and the result is the largest of those
-    values.  Raises :class:`BudgetExceededError`, before it allocates the
-    grid, when the ordered tuple count C(K+r, r)^n would exceed
+    n >= 2 a bound pass (:func:`_near_best_heads`) keeps the heads (the first
+    n - 1 indices) whose upper bound reaches within 1e-12 bits of a grid
+    tuple's entropy; only those heads are evaluated in floating point, each
+    against the tails from its last index on, and the result is the largest
+    of those values.  Raises :class:`BudgetExceededError`, before it
+    allocates the grid, when the ordered tuple count C(K+r, r)^n would exceed
     ``GRID_BUDGET`` or the grid's C(K+r, r) * (r + 1) masses would exceed
     ``GRID_ELEMENTS``.
     """
@@ -695,10 +660,17 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     if n == 1:
         return float(entropy_rows(grid, log2_rows(grid)).max())
     # Float values lie within about 1e-14 bits of the exact entropies, far
-    # inside the screen's slack, so the head that holds the float maximum over
-    # all heads passes the screen, and the result is that maximum.
+    # inside the bound pass's 1e-12-bit margin, so the head that holds the
+    # float maximum over all heads survives, and the result is that maximum.
+    heads = _near_best_heads(counts, n, resolution)
+    width = n * r + 1
     best = -math.inf
-    for head in _near_best_heads(counts, n, resolution):
-        sums = conv_rows(fold_rows(grid[head][None]), grid[head[-1] :])
+    a = 0
+    while a < len(heads):
+        tails = np.arange(heads[a, -1], grid_size)
+        b = a + max(1, _ORACLE_CHUNK // (tails.size * width))
+        head, tail = np.nonzero(tails >= heads[a:b, -1:])
+        sums = fold_rows(grid[np.column_stack((heads[a:b][head], tails[tail]))])
         best = max(best, float(entropy_rows(sums, log2_rows(sums)).max()))
+        a = b
     return best

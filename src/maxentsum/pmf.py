@@ -319,13 +319,16 @@ def read_pmf(source) -> Pmf:
             data = fh.read()
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
+    # Lines end at \n, \r\n or \r only; str.splitlines would also break at
+    # \v, \f and \x1c-\x1e.
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"line {lineno}: non-ASCII byte {data[exc.start]:#04x}") from exc
     values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -39,7 +39,9 @@ BLAS_SITES = {
     # A block's sum law, gradient and curvature by Toeplitz products, the
     # optimizer's hot path: start values and step counts may differ between CPUs.
     ("kernels.py", "block_rows"),
-    # Exact integer counts, at most K^n < 2^53, round alike everywhere.
+    # The grid oracle's incumbent, a float product that only sets the bound
+    # pass's pruning cut 1e-12 bits under it: the oracle's bits do not depend
+    # on its last bit.
     ("optimize.py", "_near_best_heads"),
     # The per-object Pmf API, faster per call than the kernels.
     ("pmf.py", "_entropy_bits"),
@@ -110,7 +112,7 @@ def bit_digests() -> dict:
             sum_distribution(list(rows)).probs.tobytes().hex() for rows in inputs
         ),
         "fold_rows": _sha(fold_rows(b).tobytes().hex() for b in blocks),
-        # At (2, 2, 48) the screen's bound pass takes ascent steps and prunes.
+        # At (2, 2, 48) the grid oracle's bound pass takes ascent steps and prunes.
         "grid_oracle": _sha(
             grid_oracle(*args).hex() for args in [(2, 2, 12), (3, 2, 6), (1, 3, 10), (2, 2, 48)]
         ),

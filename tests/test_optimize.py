@@ -644,19 +644,34 @@ def entropy_max(batch):
     return float((-(batch * np.log2(np.maximum(batch, ZERO_FLOOR))).sum(axis=1)).max()) + 0.0
 
 
+def sorted_heads(n, size):
+    """The sorted heads (first n - 1 indices) in the bound pass's order."""
+    heads = np.array(list(itertools.combinations_with_replacement(range(size), n - 1)))
+    return heads[np.argsort(heads[:, -1], kind="stable")]
+
+
+def head_law(rows, head):
+    """The sum law of the pmfs ``rows[head]``, folded left by ``np.convolve``."""
+    partial = rows[head[0]]
+    for idx in head[1:]:
+        partial = np.convolve(partial, rows[idx])
+    return partial
+
+
+def head_values(n, r, k):
+    """The sorted heads, each with its float best over the tails from its last index on."""
+    grid = optimize._grid_counts(k, r) / k
+    heads = sorted_heads(n, len(grid))
+    values = [entropy_max(conv_rows(head_law(grid, head)[None, :], grid[head[-1] :]))
+              for head in heads]
+    return heads, np.array(values)
+
+
 def per_head_oracle(n, r, k):
     """The grid oracle evaluated in floating point at every sorted head."""
-    grid = optimize._grid_counts(k, r) / k
     if n == 1:
-        return entropy_max(grid)
-    best = -math.inf
-    for head in itertools.combinations_with_replacement(range(len(grid)), n - 1):
-        partial = grid[head[0]]
-        for idx in head[1:]:
-            partial = np.convolve(partial, grid[idx])
-        sums = conv_rows(partial[None, :], grid[head[-1] :])
-        best = max(best, entropy_max(sums))
-    return best
+        return entropy_max(optimize._grid_counts(k, r) / k)
+    return max(head_values(n, r, k)[1])
 
 
 ORACLE_CELLS = [
@@ -665,26 +680,15 @@ ORACLE_CELLS = [
 ]
 
 
-def exact_scores(n, r, k, all_tails):
-    """The sorted heads in the screen's order, each with its least exact score
-    sum C log2 C over its tails: all grid pmfs, or those from its last index on."""
+def exact_scores(n, r, k):
+    """The sorted heads, each with its least exact score sum C log2 C over all tails."""
     counts = optimize._grid_counts(k, r)
-    heads = np.array(list(itertools.combinations_with_replacement(range(len(counts)), n - 1)))
-    heads = heads[np.argsort(heads[:, -1], kind="stable")]
+    heads = sorted_heads(n, len(counts))
     scores = []
     for head in heads:
-        partial = counts[head[0]]
-        for idx in head[1:]:
-            partial = np.convolve(partial, counts[idx])
-        sums = conv_rows(partial[None, :], counts[0 if all_tails else head[-1] :])
+        sums = conv_rows(head_law(counts, head)[None, :], counts)
         scores.append((sums * np.log2(np.maximum(sums, 1.0))).sum(axis=1).min())
     return heads, np.array(scores)
-
-
-def unpruned_heads(n, r, k):
-    """Every head whose least score lies within the oracle's slack of the least."""
-    heads, scores = exact_scores(n, r, k, all_tails=False)
-    return heads[scores <= scores.min() + optimize._ORACLE_SLACK * k**n]
 
 
 class TestGridOracle:
@@ -714,8 +718,17 @@ class TestGridOracle:
 
     @pytest.mark.parametrize("n,r,k", [cell for cell in ORACLE_CELLS if cell[0] > 1])
     def test_bound_pass_keeps_the_unpruned_heads(self, n, r, k):
-        kept = optimize._near_best_heads(optimize._grid_counts(k, r), n, k)
-        assert kept.tolist() == unpruned_heads(n, r, k).tolist()
+        # Every head that attains the oracle's value survives, and every dropped
+        # head's exact best over all tails lies under the 1e-12-bit cut, up to
+        # the bound's float error.
+        value = grid_oracle(n, r, k)
+        kept = {tuple(head) for head in optimize._near_best_heads(optimize._grid_counts(k, r), n, k)}
+        heads, values = head_values(n, r, k)
+        best = {tuple(head) for head in heads[values == value]}
+        assert best and best <= kept
+        _, scores = exact_scores(n, r, k)
+        dropped = np.array([tuple(head) not in kept for head in heads])
+        assert (n * math.log2(k) - scores[dropped] / k**n < value - 1e-12 + 1e-13).all()
 
     @pytest.mark.parametrize("n,r,k", [(2, 2, 24), (2, 3, 24), (3, 2, 12)])
     def test_head_bounds_cover_every_tail(self, monkeypatch, n, r, k):
@@ -723,7 +736,7 @@ class TestGridOracle:
         # tail t by its value plus its gap, X its head's sum law, with room to
         # spare under the 1e-12 bits a pruned bound must fall short by.
         counts = optimize._grid_counts(k, r)
-        heads, scores = exact_scores(n, r, k, all_tails=True)
+        heads, scores = exact_scores(n, r, k)
         best = n * math.log2(k) - scores / k**n
         laws = kernels.fold_rows(counts[heads])
         index = {laws[h].tobytes(): h for h in range(len(heads))}

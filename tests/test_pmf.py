@@ -457,6 +457,20 @@ class TestTextFormat:
         with pytest.raises(ValidationError, match=r"^line 2: "):
             read_pmf(io.StringIO("0.5\n0.5 # hé\n"))
 
+    def test_form_feed_does_not_end_a_line(self):
+        with pytest.raises(ValidationError, match=r"^line 1: cannot parse '0.5\\x0c0.5' as a mass$"):
+            read_pmf(io.BytesIO(b"0.5\x0c0.5\n"))
+
+    def test_parse_error_lines_count_only_line_ends(self):
+        # The non-ASCII error counts lines by the same rule.
+        with pytest.raises(ValidationError, match=r"^line 3: cannot parse 'x' as a mass$"):
+            read_pmf(io.BytesIO(b"0.5\x0c\n\nx\n"))
+        with pytest.raises(ValidationError, match=r"^line 3: non-ASCII byte 0xc3$"):
+            read_pmf(io.BytesIO("0.5\x0c\r\n\r# h\u00e9\n".encode("utf-8")))
+
+    def test_carriage_returns_end_lines(self):
+        assert read_pmf(io.BytesIO(b"0.25\r0.5\r\n0.25\r")).probs.tolist() == [0.25, 0.5, 0.25]
+
     def test_binary_file_object_parses(self):
         assert read_pmf(io.BytesIO(b"0.5\n0.5\n")).probs.tolist() == [0.5, 0.5]
 
