@@ -7,9 +7,10 @@ is what keeps multistart runs and suite chunks deterministic.
 
 Batches are stored coordinate-major (Fortran order), so a column slice or a
 reduction over coordinates runs one loop over all rows.  Elementwise
-operations, ``min`` and ``max`` round alike in any layout, but numpy sums a
-contiguous row pairwise and a column in order, so every sum over coordinates
-that can see 8 or more terms is taken on a row-major array.
+operations, ``min`` and ``max`` round alike in any layout.  numpy adds fewer
+than 8 entries in order in any layout, but a contiguous row of 8 or more
+pairwise, so :func:`sum_rows` sums short rows in place and long ones from a
+row-major copy: a row's sum has the same bytes whatever the layout.
 """
 
 from __future__ import annotations
@@ -84,12 +85,24 @@ def log2_rows(probs: np.ndarray) -> np.ndarray:
     return np.log2(np.maximum(probs, ZERO_FLOOR))
 
 
+def sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, with the bytes of a row-major sum in any layout.
+
+    Fewer than 8 entries are added in order in place; 8 or more are summed
+    from a row-major copy, as numpy sums a contiguous row of them pairwise.
+    """
+    if terms.shape[-1] >= 8:
+        terms = np.ascontiguousarray(terms)
+    return np.add.reduce(terms, axis=-1)
+
+
 def entropy_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row; masses at or below the zero floor add 0."""
-    terms = np.zeros(probs.shape)  # row-major, whatever the input layout
+    # In the input's layout, so that short rows are summed in place.
+    terms = np.zeros(probs.shape, order="F" if probs.flags.f_contiguous else "C")
     np.multiply(probs, logs, out=terms, where=probs > ZERO_FLOOR)
     # 0.0 - s is +0.0 for a zero sum, so no SIMD path can return -0.0.
-    return np.maximum(0.0 - np.add.reduce(terms, axis=-1), 0.0)
+    return np.maximum(0.0 - sum_rows(terms), 0.0)
 
 
 def block_rows(toeplitz: np.ndarray, p: np.ndarray, neg: np.ndarray):

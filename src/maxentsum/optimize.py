@@ -613,7 +613,8 @@ def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
             bound[live] = np.minimum(bound[live], np.where(exact, value + gap, math.inf))
             if value.max() > lead:
                 lead = value.max()
-                sums = grid @ toeplitz[value.argmax()].T
+                # Coordinate-major, so the log and the sum run along the grid.
+                sums = (toeplitz[value.argmax()] @ grid.T).T
                 best = max(best, entropy_rows(sums, log2_rows(sums)).max())
             cut = best - 1e-12
             undecided = (bound[live] >= cut) & (value < cut)

@@ -119,8 +119,10 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
     n, r = int(n), int(r)
 
     def work(rng: np.random.Generator, offset: int, size: int):
-        draws = [rng.dirichlet(np.ones(r + 1), size=size) for _ in range(n)]
-        sums = fold_rows(np.stack(draws, axis=1))
+        blocks = np.empty((size, n, r + 1), order="F")
+        for b in range(n):
+            blocks[:, b] = rng.dirichlet(np.ones(r + 1), size=size)
+        sums = fold_rows(blocks)
         ids = offset + np.arange(size)
         violations: list[dict] = []
         worst = math.inf
@@ -135,7 +137,7 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
             witness[failing] = first_failures(margins[failing], cond[failing])
             violations += _witnesses(
                 ids, failing, residue=j, order=order, margin=least, witness=witness,
-                inputs=draws, conditional=cond,
+                inputs=blocks, conditional=cond,
             )
         return violations, {"min_margin": worst}
 
@@ -155,7 +157,7 @@ def identity_suite(trials: int, seed: int = 0) -> SuiteReport:
     """
 
     def work(rng: np.random.Generator, offset: int, size: int):
-        factors = [rng.dirichlet(np.ones(3), size=size) for _ in range(3)]
+        factors = [np.asfortranarray(rng.dirichlet(np.ones(3), size=size)) for _ in range(3)]
         tensor = np.einsum("ti,tj,tk->tijk", *factors, order="F")
         masses = ternary_sum_masses(tensor)
         sides = identity_sides(tensor, masses)
@@ -190,7 +192,7 @@ def sign_suite(trials: int, seed: int = 0) -> SuiteReport:
     def work(rng: np.random.Generator, offset: int, size: int):
         factors = []
         for _ in range(3):
-            f = rng.dirichlet(np.ones(3), size=size)
+            f = np.asfortranarray(rng.dirichlet(np.ones(3), size=size))
             while True:
                 bad = np.flatnonzero(f.min(axis=1) <= STRICTNESS)
                 if bad.size == 0:

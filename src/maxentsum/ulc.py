@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, check_count, is_real
-from .kernels import conv_rows
+from .kernels import conv_rows, sum_rows
 from .pmf import Pmf, PmfLike, as_pmf, sum_distribution
 
 #: :func:`margin_verdicts` passes a row whose least margin is
@@ -31,7 +31,8 @@ def _nonneg_array(u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] < 1:
         raise DomainError("need a non-empty sequence")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    # NaN propagates through min and max, so one pass each catches every bad entry.
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise DomainError("sequence entries must be finite and non-negative")
     return arr
 
@@ -174,8 +175,7 @@ def residue_classes(sums: np.ndarray, r: int, n: int):
     """
     for j in range(r):
         cls = sums[:, j::r]
-        # A class has 8+ masses at n >= 7: sum it row-major (see ``kernels``).
-        weights = np.ascontiguousarray(cls).sum(axis=1)
+        weights = sum_rows(cls)
         # An empty class divides its zeros by 1.
         cond = cls / (weights + (weights == 0.0))[:, None]
         yield (n if j == 0 else n - 1), weights > 0.0, cond
@@ -402,7 +402,8 @@ def random_ulc_sequences(order: int, count: int, rng: np.random.Generator) -> np
 
     Rejection from flat Dirichlet draws, topped up by a ratio construction
     (log-concave u_i / C(order, i) built from sorted random ratios) when the
-    rejection yield falls short.  Deterministic given the generator state.
+    rejection yield falls short.  Deterministic given the generator state;
+    returned coordinate-major.
     """
     check_count("order", order, 1)
     check_count("count", count, 1)
@@ -410,12 +411,13 @@ def random_ulc_sequences(order: int, count: int, rng: np.random.Generator) -> np
     draws = np.asfortranarray(rng.dirichlet(np.ones(length), size=_REJECTION_FACTOR * count))
     _, ok = margin_verdicts(ulc_order_margins(draws, order), draws)
     kept = draws[ok][:count]
-    short = count - kept.shape[0]
-    if short > 0:
-        ratios = np.sort(rng.lognormal(0.0, 1.0, size=(short, order)), axis=1)[:, ::-1]
-        base = np.cumprod(np.concatenate([np.ones((short, 1)), ratios], axis=1), axis=1)
-        coeffs = np.array([math.comb(order, i) for i in range(length)], dtype=float)
-        built = base * coeffs
-        built /= built.sum(axis=1, keepdims=True)
-        kept = np.vstack([kept, built])
-    return kept
+    seqs = np.empty((count, length), order="F")
+    seqs[: kept.shape[0]] = kept
+    built = seqs[kept.shape[0] :]
+    if built.size:
+        ratios = np.sort(rng.lognormal(0.0, 1.0, size=(built.shape[0], order)), axis=1)
+        built[:, 0] = 1.0
+        np.cumprod(ratios[:, ::-1], axis=1, out=built[:, 1:])
+        built *= [math.comb(order, i) for i in range(length)]
+        built /= sum_rows(built)[:, None]
+    return seqs

@@ -15,6 +15,7 @@ from maxentsum.kernels import (
     fold_rows,
     log2_rows,
     seeded_rng,
+    sum_rows,
     toeplitz_rows,
 )
 from maxentsum.pmf import _entropy_bits
@@ -131,7 +132,18 @@ def test_entropy_rows_matches_entropy_bits(rng):
         assert values[t] == pytest.approx(_entropy_bits(probs[t]), abs=1e-14)
 
 
-@pytest.mark.parametrize("width", [3, 8, 13, 40])
+@pytest.mark.parametrize("width", range(1, 13))
+def test_sum_rows_has_the_bytes_of_a_row_major_sum(rng, width):
+    # 7 entries are added in order in any layout, 8 pairwise in a contiguous row.
+    terms = rng.dirichlet(np.ones(width), size=4096) * rng.lognormal(size=(4096, 1))
+    expected = terms.sum(axis=-1).tobytes()
+    assert sum_rows(terms).tobytes() == expected
+    assert sum_rows(np.asfortranarray(terms)).tobytes() == expected
+    wide = np.asfortranarray(np.repeat(terms, 3, axis=1))
+    assert sum_rows(wide[:, ::3]).tobytes() == expected  # a strided class slice
+
+
+@pytest.mark.parametrize("width", [3, 7, 8, 13, 40])
 def test_entropy_rows_bytes_do_not_depend_on_layout(rng, width):
     # numpy sums a contiguous row of 8+ entries pairwise and a column in order.
     probs = rng.dirichlet(np.ones(width), size=4096)

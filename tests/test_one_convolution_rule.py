@@ -1,5 +1,6 @@
-"""The package convolves by one rule, ``kernels.conv_rows``, and sums
-entropies by one rule, ``kernels.entropy_rows``.
+"""The package convolves by one rule, ``kernels.conv_rows``, sums entropies
+by one rule, ``kernels.entropy_rows``, and sums a suite batch's coordinates
+by one rule, ``kernels.sum_rows``.
 
 ``np.convolve`` adds its products in an order of its own, which can differ
 between CPUs.  It stays in two places only: ``pmf.convolve``, which the
@@ -51,17 +52,29 @@ BLAS_SITES = {
 }
 
 
-def callers(matches):
-    """(module, top-level definition) of each node of the package that
-    ``matches``, in file order."""
-    found = []
+#: (module, top-level definition, call) of every ``.sum(`` and
+#: ``np.add.reduce(`` call in the suite modules.  numpy sums a contiguous row
+#: of 8+ entries pairwise but a column in order, so a sum over a batch's
+#: coordinates goes through ``kernels.sum_rows`` instead.
+SUITE_SUMS = [
+    # A count of flagged rows: integers add exactly in any order.
+    ("suites.py", "sign_suite", "hypothesis.sum()"),
+]
+
+
+def package_nodes():
+    """(module, top-level definition, node) of every node of the package, in file order."""
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
             for node in ast.walk(top):
-                if matches(node):
-                    found.append((path.name, getattr(top, "name", None)))
-    return found
+                yield path.name, getattr(top, "name", None), node
+
+
+def callers(matches):
+    """(module, top-level definition) of each node of the package that
+    ``matches``, in file order."""
+    return [(module, top) for module, top, node in package_nodes() if matches(node)]
 
 
 def np_convolve_callers():
@@ -78,12 +91,38 @@ def blas_sites():
     ))
 
 
+def is_sum_call(node) -> bool:
+    """``x.sum(...)``, ``np.sum(...)`` or ``np.add.reduce(...)``."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "sum"
+        or func.attr == "reduce" and isinstance(func.value, ast.Attribute) and func.value.attr == "add"
+    )
+
+
+def suite_sums():
+    """(module, top-level definition, call) of every sum call in ``ulc`` and ``suites``."""
+    return [(module, top, ast.unparse(node)) for module, top, node in package_nodes()
+            if module in ("ulc.py", "suites.py") and is_sum_call(node)]
+
+
 def test_np_convolve_stays_in_its_two_places():
     assert np_convolve_callers() == [("pmf.py", "convolve"), ("suites.py", "decomposition_suite")]
 
 
 def test_blas_stays_in_its_listed_places():
     assert sorted(blas_sites()) == sorted(BLAS_SITES)
+
+
+def test_suite_sums_stay_in_their_listed_places():
+    assert suite_sums() == SUITE_SUMS
+
+
+def test_the_sum_guard_sees_every_spelling():
+    calls = ["cls.sum(axis=1)", "np.sum(cls, axis=-1)", "np.add.reduce(cls, axis=1)"]
+    assert all(is_sum_call(ast.parse(call).body[0].value) for call in calls)
+    assert not any(is_sum_call(ast.parse(call).body[0].value)
+                   for call in ["sum(parts)", "sum_rows(cls)", "np.maximum.reduce(cls, axis=1)"])
 
 
 def _sha(parts) -> str:

@@ -1,5 +1,8 @@
 """Monte Carlo suite drivers: determinism, partitioning, witness structure."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from maxentsum import (
     Pmf,
     conditional_ulc_report,
     decomposition_suite,
+    grid_oracle,
     identity_suite,
     preserve_suite,
     sign_suite,
@@ -236,6 +240,39 @@ class TestViolationRecords:
         assert all(v["kind"] == "entropy" for v in report.violations)
         assert [v["trial"] for v in report.violations] == list(range(self.TRIALS))
         assert all(v["error"] == pytest.approx(1e-6) for v in report.violations)
+
+
+#: sha256 of the sorted-key ``as_dict()`` JSON of each suite call at two chunks.
+GOLDEN_REPORTS = {
+    (ulc_suite, 2, 2): "203f2bb302824bd034a28e3598073de670fd80c979ac1b8b0f3e6dc26d01bdff",
+    (ulc_suite, 2, 3): "ed7df73a2846b5d9b8cb6fb7841b34ad24bef605a0b572388d59140df61038a9",
+    (ulc_suite, 2, 4): "77d11f77cdb497ec1111338678da1fbd64cc3221bdbe1475bbcb431600d44287",
+    (ulc_suite, 2, 5): "6fc45e4ff8071c046f786614b12078d6b915f69d9edda7e6699092b4f3a5f599",
+    (ulc_suite, 3, 2): "9e6a2114d2b116e6f52c56cd2806750407bc6518265deb8928d7757801b0b1d4",
+    # Class 0 has 8 masses, the first width summed row-major.
+    (ulc_suite, 7, 1): "e830bfc5b1ed0699c1a306f475c09f37df4be912796c5fa67803b1db8bec3dff",
+    (identity_suite,): "1937ba8359af85a658077b30b3410e3033fe96167a5b081960dfe8e23104052e",
+    (sign_suite,): "3046df6c8ed095d03ea2adc9514d3401cb4d1944f4acfc385a9dc29c0520d853",
+    (preserve_suite,): "f9c215b86edda21ae4b078207332cd322fd54127bacc7ec5accaaa6b304bed27",
+}
+
+
+class TestGoldenBytes:
+    """Seeded reports stay byte for byte what they were when the suite chunks
+    went coordinate-major; a change of layout or of summation order shows here."""
+
+    @pytest.mark.parametrize("call", GOLDEN_REPORTS, ids=lambda call: "-".join(
+        str(part) for part in (call[0].__name__, *call[1:])))
+    def test_report_digest(self, call):
+        suite, *cell = call
+        seed = 100 * cell[0] + cell[1] if cell else 28
+        report = suite(*cell, 2 * CHUNK_SIZE, seed)
+        text = json.dumps(report.as_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[call]
+
+    def test_grid_oracle_values(self):
+        assert repr(grid_oracle(2, 3, 24)) == "2.7715354233178195"
+        assert repr(grid_oracle(3, 2, 12)) == "2.6585775391837685"
 
 
 class TestUlcSuiteMatchesReportOperation:

@@ -27,7 +27,7 @@ from maxentsum import (
     ternary_sum_masses,
     ulc_suite,
 )
-from maxentsum.ulc import residue_classes
+from maxentsum.ulc import residue_classes, ulc_order_margins
 
 
 def binomial_masses(n, p=0.5):
@@ -55,6 +55,16 @@ class TestIsLogConcave:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             is_log_concave([])
+
+    @pytest.mark.parametrize("bad", [-0.25, math.nan, math.inf, -math.inf])
+    def test_batch_rejects_every_non_finite_or_negative_entry(self, bad):
+        batch = np.asfortranarray(np.full((5, 4), 0.25))
+        batch[3, 2] = bad
+        with pytest.raises(DomainError, match="^sequence entries must be finite and non-negative$"):
+            ulc_order_margins(batch, 3)
+
+    def test_empty_batch_has_empty_margins(self):
+        assert ulc_order_margins(np.zeros((0, 4)), 3).shape == (0, 2)
 
     def test_internal_zero_diagnostic(self):
         # Two adjacent internal zeros make every inequality 0 >= 0, so the
@@ -187,10 +197,11 @@ class TestConditionalUlcReport:
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["per_class"][record["residue"]]["witness"] == record["witness"]
 
-    @pytest.mark.parametrize("n, r", [(7, 1), (12, 2), (8, 3)])
+    @pytest.mark.parametrize("n, r", [(2, 2), (3, 5), (6, 1), (7, 1), (12, 2), (8, 3)])
     def test_residue_classes_bytes_do_not_depend_on_layout(self, n, r):
-        # Each class has 8+ masses; numpy sums a contiguous row of them
-        # pairwise but a column in order.
+        # The first three have classes of fewer than 8 masses, which are summed
+        # in place; the last three classes of 8+, which numpy sums pairwise in a
+        # contiguous row but in order down a column.
         sums = np.random.default_rng(n).dirichlet(np.ones(n * r + 1), size=4096)
         sums[::5, 1::r] = 0.0  # some rows lose class 1
         c_classes = list(residue_classes(sums, r, n))
