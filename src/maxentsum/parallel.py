@@ -20,8 +20,8 @@ def thread_count() -> int:
 
     Every job here is deterministic, and threads pay off little, so they run
     only when asked for: the eight 65,536-trial suite calls of perfbench's
-    ``certify`` take 0.080-0.082 s at 1 thread and 0.077-0.085 s at 2
-    (12 runs each, 2-core x86-64).
+    ``certify`` take 0.067-0.069 s at 1 thread and 0.069-0.081 s at 2
+    (medians of 12 in each of 3 runs, 2-core x86-64).
     Any value other than a non-negative integer raises :class:`DomainError`.
     """
     raw = os.environ.get(THREADS_ENV, "").strip() or "0"

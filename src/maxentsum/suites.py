@@ -79,7 +79,7 @@ def _run(suite: str, trials: int, seed: int, params: dict, work, merge: dict) ->
         return work(seeded_rng(seed, index), offset, size)
 
     results = ordered_map(run_chunk, plan)
-    report = SuiteReport(suite, trials, seed, params)
+    report = SuiteReport(suite, int(trials), int(seed), params)
     for violations, _ in results:
         report.violations.extend(violations)
     for key, combine in merge.items():
@@ -311,4 +311,5 @@ def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> Sui
         return violations, {f"max_{kind}_error": error for kind, error in worst.items()}
 
     merge = {f"max_{kind}_error": max for kind in ("reassembly", "entropy", "mixture", "splitting")}
-    return _run("decomposition", trials, seed, {"r": r}, work, merge)
+    params = {"r": None if r is None else int(r)}
+    return _run("decomposition", trials, seed, params, work, merge)

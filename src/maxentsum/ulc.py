@@ -23,8 +23,6 @@ from .pmf import Pmf, PmfLike, as_pmf, sum_distribution
 SLACK_COEFF = 1e-12
 #: The sign lemma needs factors whose every mass exceeds this.
 STRICTNESS = 1e-9
-#: ``random_ulc_sequences`` draws this many Dirichlet candidates per sequence.
-_REJECTION_FACTOR = 4
 
 
 def _nonneg_array(u) -> np.ndarray:
@@ -400,24 +398,17 @@ def convolve_bernoulli_preserves(u, order: int, q: float) -> bool:
 def random_ulc_sequences(order: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` ULC(order) probability vectors of length order + 1.
 
-    Rejection from flat Dirichlet draws, topped up by a ratio construction
-    (log-concave u_i / C(order, i) built from sorted random ratios) when the
-    rejection yield falls short.  Deterministic given the generator state;
+    Each row makes u_i / C(order, i) log-concave from ``order`` iid lognormal
+    ratios taken in decreasing order; every strictly positive ULC(order)
+    vector has positive density.  Deterministic given the generator state;
     returned coordinate-major.
     """
     check_count("order", order, 1)
     check_count("count", count, 1)
-    length = order + 1
-    draws = np.asfortranarray(rng.dirichlet(np.ones(length), size=_REJECTION_FACTOR * count))
-    _, ok = margin_verdicts(ulc_order_margins(draws, order), draws)
-    kept = draws[ok][:count]
-    seqs = np.empty((count, length), order="F")
-    seqs[: kept.shape[0]] = kept
-    built = seqs[kept.shape[0] :]
-    if built.size:
-        ratios = np.sort(rng.lognormal(0.0, 1.0, size=(built.shape[0], order)), axis=1)
-        built[:, 0] = 1.0
-        np.cumprod(ratios[:, ::-1], axis=1, out=built[:, 1:])
-        built *= [math.comb(order, i) for i in range(length)]
-        built /= sum_rows(built)[:, None]
+    ratios = np.sort(rng.lognormal(0.0, 1.0, size=(count, order)), axis=1)
+    seqs = np.empty((count, order + 1), order="F")
+    seqs[:, 0] = 1.0
+    np.cumprod(ratios[:, ::-1], axis=1, out=seqs[:, 1:])
+    seqs *= [math.comb(order, i) for i in range(order + 1)]
+    seqs /= sum_rows(seqs)[:, None]
     return seqs

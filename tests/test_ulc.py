@@ -392,11 +392,15 @@ def test_single_sequence_checks_name_themselves(check, args):
 
 class TestRandomUlcSequences:
     def test_outputs_are_valid(self):
-        rng = np.random.default_rng(42)
-        for order in range(1, 9):
+        # Orders run far past the preserve suite's 8 to test the construction itself.
+        rng, twin = np.random.default_rng(42), np.random.default_rng(42)
+        for order in range(1, 41):
             seqs = random_ulc_sequences(order, 300, rng)
+            twin.lognormal(0.0, 1.0, size=(300, order))
+            assert rng.random() == twin.random()  # exactly 300 x order lognormals
             assert seqs.shape == (300, order + 1)
-            np.testing.assert_allclose(seqs.sum(axis=1), 1.0, atol=1e-12)
+            assert seqs.flags.f_contiguous
+            np.testing.assert_allclose(seqs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
             for u in seqs:
                 assert is_ulc_order(u, order)
 
