@@ -20,7 +20,7 @@ def thread_count() -> int:
 
     Every job here is deterministic, and threads pay off little, so they run
     only when asked for: the eight 65,536-trial suite calls of perfbench's
-    ``certify`` take 0.067-0.069 s at 1 thread and 0.069-0.081 s at 2
+    ``certify`` take 0.063-0.064 s at 1 thread and 0.062-0.064 s at 2
     (medians of 12 in each of 3 runs, 2-core x86-64).
     Any value other than a non-negative integer raises :class:`DomainError`.
     """

@@ -169,22 +169,30 @@ def residue_classes(sums: np.ndarray, r: int, n: int):
 
     Class j comes as (order, weighted, cond): the order it is tested at (n for
     class 0, n - 1 for the others), the mask of rows where it has weight, and
-    its conditional laws, all-zero on the rows without weight.
+    its conditional laws, all-zero on the rows without weight.  A class of
+    fewer than 3 masses has no interior index, so nothing to test: it comes
+    as (order, None, None).  Every mass of ``sums`` is checked finite and
+    non-negative first, whether its class is built or not.
     """
+    _nonneg_array(sums)
     for j in range(r):
+        order = n if j == 0 else n - 1
         cls = sums[:, j::r]
+        if cls.shape[1] < 3:
+            yield order, None, None
+            continue
         weights = sum_rows(cls)
         # An empty class divides its zeros by 1.
         cond = cls / (weights + (weights == 0.0))[:, None]
-        yield (n if j == 0 else n - 1), weights > 0.0, cond
+        yield order, weights > 0.0, cond
 
 
 def conditional_ulc_report(inputs, r: int) -> UlcReport:
     """Test the residue classes of the sum of ``inputs`` mod ``r``.
 
     Class 0 is tested at order n and classes j != 0 at order n - 1, where n is
-    the number of summands.  Zero-weight classes are reported as vacuous
-    passes.
+    the number of summands.  Classes without weight or without an interior
+    index are reported as vacuous passes.
     """
     pmfs = [as_pmf(p) for p in inputs]
     total = sum_distribution(pmfs)
@@ -192,13 +200,14 @@ def conditional_ulc_report(inputs, r: int) -> UlcReport:
     per: list[UlcClassReport] = []
     classes = residue_classes(total.probs[None], int(r), len(pmfs))
     for j, (order, weighted, cond) in enumerate(classes):
+        if cond is None or not weighted[0]:
+            per.append(UlcClassReport(j, order, True, None, None))
+            continue
         u = cond[0]
-        # A class without weight or without an interior index passes vacuously.
-        margins = ulc_order_margins(u, order) if weighted[0] else u[:0]
+        margins = ulc_order_margins(u, order)
         least, passed = margin_verdicts(margins, u)
         witness = None if passed else int(first_failures(margins, u))
-        margin = float(least) if margins.size else None
-        per.append(UlcClassReport(j, order, bool(passed), witness, margin))
+        per.append(UlcClassReport(j, order, bool(passed), witness, float(least)))
     return UlcReport(r=int(r), per_class=tuple(per))
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -138,6 +139,39 @@ class TestSuitesPass:
     def test_numpy_integer_arguments_give_the_same_json(self, call):
         plain = json.dumps(call(int).as_dict(), sort_keys=True)
         assert json.dumps(call(np.int64).as_dict(), sort_keys=True) == plain
+
+
+class TestUlcSuiteClasses:
+    """Only classes of 3 or more masses are tested, but every mass is checked."""
+
+    def test_only_classes_with_an_interior_index_are_scored(self, monkeypatch):
+        # At (2, 5) class 0 holds 3 masses and classes 1 to 4 hold 2 each.
+        monkeypatch.setattr(suites, "CHUNK_SIZE", 64)
+        real = suites.ulc_order_margins
+        lengths = []
+
+        def counting(u, order):
+            lengths.append(u.shape[-1])
+            return real(u, order)
+
+        monkeypatch.setattr(suites, "ulc_order_margins", counting)
+        report = ulc_suite(2, 5, trials=150, seed=1)
+        assert report.passed and report.stats["min_margin"] is not None
+        assert lengths == [3, 3, 3]  # one call per chunk of 64 trials
+
+    @pytest.mark.parametrize("bad", ["nan", "negative"])
+    def test_bad_mass_in_an_unbuilt_class_raises(self, monkeypatch, bad):
+        # Class 1 at (2, 3) holds masses 1 and 4 only, so it is never built.
+        real = suites.fold_rows
+
+        def corrupt(blocks):
+            sums = real(blocks)
+            sums[0, 1] = math.nan if bad == "nan" else -sums[0, 1]
+            return sums
+
+        monkeypatch.setattr(suites, "fold_rows", corrupt)
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            ulc_suite(2, 3, trials=50, seed=1)
 
 
 class TestDeterminism:

@@ -185,6 +185,20 @@ class TestConditionalUlcReport:
             ],
         }
 
+    def test_weighted_class_without_interior_index_is_vacuous(self):
+        # S_2 of two uniforms on {0, ..., 3} is (1, 2, 3, 4, 3, 2, 1) / 16: classes
+        # 1 and 2 carry weight but hold 2 masses each, so they test nothing.
+        report = conditional_ulc_report([Pmf.uniform(3)] * 2, 3)
+        assert report.as_dict() == {
+            "r": 3,
+            "per_class": [
+                {"residue": 0, "order": 2, "passed": True, "witness": None,
+                 "margin": 0.3333333333333333},
+                {"residue": 1, "order": 1, "passed": True, "witness": None, "margin": None},
+                {"residue": 2, "order": 1, "passed": True, "witness": None, "margin": None},
+            ],
+        }
+
     def test_reproduces_a_violation_the_suite_records(self):
         # Three summands on {0, ..., 3} do break conditional ULC; the report on a
         # recorded instance fails the same class at the same index.
@@ -208,6 +222,9 @@ class TestConditionalUlcReport:
         f_classes = list(residue_classes(np.asfortranarray(sums), r, n))
         for (order, weighted, cond), (f_order, f_weighted, f_cond) in zip(c_classes, f_classes):
             assert order == f_order
+            if cond is None:  # class 1 at (2, 2) has 2 masses, so it is not built
+                assert weighted is f_weighted is f_cond is None
+                continue
             assert weighted.tobytes() == f_weighted.tobytes()
             assert np.ascontiguousarray(cond).tobytes() == np.ascontiguousarray(f_cond).tobytes()
 
