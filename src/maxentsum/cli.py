@@ -5,7 +5,7 @@ Settings resolve in the order: command-line flag, then ``--config`` file
 built-in defaults; a ``MAXENT_*`` variable that no subcommand reads is a usage
 error.  Exit codes: 0 success or clean verification, 1 a verification suite
 found violations (or a strict-conjecture sweep saw a positive gap), 2 usage
-error, 3 domain error, 4 I/O error.
+error, 3 domain error or out of memory, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import suites
 from .bounds import SPECIAL_GENERAL, conjectured_inputs, entropy_lower_bound
 from .errors import DomainError, MaxentsumError, check_count
 from .optimize import OptimizerConfig, multistart_maximize, restricted_maximize
-from .parallel import THREADS_ENV, thread_count
 from .pmf import sum_distribution, write_pmf
 
 EXIT_OK = 0
@@ -96,7 +95,8 @@ def _env_name(name: str) -> str:
 
 def _check_environment() -> None:
     """Reject a ``MAXENT_*`` variable that no subcommand reads, such as a typo."""
-    known = {THREADS_ENV} | {_env_name(name) for name in SETTINGS}
+    # The thread setting is accepted but read by nothing: perfbench still sets it.
+    known = {"MAXENT_THREADS"} | {_env_name(name) for name in SETTINGS}
     unknown = sorted(key for key in os.environ if key.startswith("MAXENT_") and key not in known)
     if unknown:
         raise _UsageError(f"unknown environment variables: {', '.join(unknown)}")
@@ -382,16 +382,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_environment()
-        try:
-            thread_count()
-        except DomainError as exc:
-            raise _UsageError(str(exc)) from exc
         return args.func(_Settings(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MaxentsumError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

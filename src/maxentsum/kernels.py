@@ -1,4 +1,5 @@
-"""Row-batched numerical kernels shared by the optimizer and the suites.
+"""Row-batched numerical kernels shared by the optimizer and the suites, with
+the seeded generator and the in-order job map through which both run.
 
 Every kernel treats the leading axis as independent rows and computes each
 row with the same operations, in the same order, whatever the number of rows.
@@ -36,6 +37,15 @@ def seeded_rng(seed: int, index: int) -> np.random.Generator:
     """
     check_count("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def ordered_map(fn, jobs) -> list:
+    """``fn`` of each job, in job order, on the calling thread.
+
+    The suites' chunks and the optimizer's single job run through here; it is
+    the seam where a benchmark pauses its clock between jobs.
+    """
+    return [fn(job) for job in jobs]
 
 
 def conv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -56,10 +56,10 @@ from .kernels import (
     entropy_rows,
     fold_rows,
     log2_rows,
+    ordered_map,
     seeded_rng,
     toeplitz_rows,
 )
-from .parallel import ordered_map
 from .pmf import Pmf, _finalize, _summands
 
 #: Hard cap on ordered grid tuples enumerated by the grid oracle.
@@ -518,8 +518,9 @@ def _maximize(n: int, r: int, neg: np.ndarray,
         ])
         return _Lockstep(blocks0, neg, config.outer_tol).run()
 
-    # All starts are rows of one lockstep, so there is one job; the call stays
-    # as the place where a benchmark may pause its clock between optimizer calls.
+    # All starts are rows of one lockstep, so there is one job, run on the
+    # calling thread; the call stays only as the place where a benchmark may
+    # pause its clock between optimizer calls.
     (out,) = ordered_map(run, [list(range(config.starts + 1))])
     per_start = tuple(out.records)
     best = int(np.argmax([rec.value for rec in per_start]))  # ties go to the lowest start id

@@ -1,11 +1,11 @@
 """Seeded Monte Carlo verification suites with full violation witnesses.
 
 Every suite runs through one driver, which splits its trials into fixed-size
-chunks, derives one child seed per chunk from (seed, chunk index), and merges
-results in chunk order, so the verdict and the report are identical for any
-worker count.  The suites evaluate the certificate functions of ``ulc``.  A
-violation is never dropped: each one is recorded with the random instance
-that produced it.
+chunks, derives one child seed per chunk from (seed, chunk index), runs the
+chunks in order on the calling thread and merges their results in that order,
+so the verdict and the report depend only on the suite's arguments.  The
+suites evaluate the certificate functions of ``ulc``.  A violation is never
+dropped: each one is recorded with the random instance that produced it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_count
-from .kernels import conv_rows, fold_rows, seeded_rng
-from .parallel import ordered_map
+from .kernels import conv_rows, fold_rows, ordered_map, seeded_rng
 from .pmf import Pmf, _entropy_bits, convolve, mixture, residue_decompose
 from .ulc import (
     STRICTNESS,

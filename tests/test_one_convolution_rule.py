@@ -11,6 +11,9 @@ BLAS products (``@``, ``np.dot``, ``np.matmul``) round in an order that
 depends on the BLAS core the CPU selects.  Each place that keeps one is
 listed below with its reason, and the values the package promises to be
 the same on every CPU are compared against a run on another core.
+
+Work runs on the calling thread: no module imports a thread or process
+library, so no setting can change how jobs are scheduled.
 """
 
 import ast
@@ -116,6 +119,33 @@ def test_blas_stays_in_its_listed_places():
 
 def test_suite_sums_stay_in_their_listed_places():
     assert suite_sums() == SUITE_SUMS
+
+
+#: Top-level modules that would let the package schedule work off the calling thread.
+CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
+
+
+def imported_modules(node) -> list[str]:
+    """Absolute module names an ``import`` or ``from ... import`` node names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_no_module_imports_threads_or_processes():
+    assert [(module, name) for module, _, node in package_nodes()
+            for name in imported_modules(node)
+            if name.split(".")[0] in CONCURRENCY_MODULES] == []
+
+
+def test_the_import_guard_sees_every_spelling():
+    imports = ["import threading", "from concurrent.futures import ThreadPoolExecutor",
+               "import multiprocessing.pool as mp", "from threading import Thread"]
+    assert [imported_modules(ast.parse(line).body[0])[0].split(".")[0] for line in imports] == [
+        "threading", "concurrent", "multiprocessing", "threading"]
+    assert imported_modules(ast.parse("from .threading import x").body[0]) == []
 
 
 def test_the_sum_guard_sees_every_spelling():

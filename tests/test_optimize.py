@@ -511,14 +511,6 @@ class TestLockstepDeterminism:
         assert (a.value, a.sweeps, a.converged) == (b.value, b.sweeps, b.converged)
         assert (a.steps, a.jumps) == (b.steps, b.jumps)
 
-    def test_results_do_not_depend_on_chunks_or_workers(self, monkeypatch):
-        cfg = OptimizerConfig(starts=200, seed=5)  # one batch across 64-start boundaries
-        monkeypatch.delenv("MAXENT_THREADS", raising=False)
-        reference = multistart_maximize(2, 3, cfg).as_dict()
-        for threads in ("1", "2"):
-            monkeypatch.setenv("MAXENT_THREADS", threads)
-            assert multistart_maximize(2, 3, cfg).as_dict() == reference
-
     def test_records_do_not_depend_on_the_start_count(self):
         def records(starts):
             cfg = OptimizerConfig(starts=starts, seed=5)
@@ -530,7 +522,7 @@ class TestLockstepDeterminism:
         cfg = OptimizerConfig(starts=4, seed=5)
         monkeypatch.delenv("MAXENT_THREADS", raising=False)
         reference = multistart_maximize(2, 3, cfg).as_dict()
-        monkeypatch.setenv("MAXENT_THREADS", "banana")  # a suite of several chunks raises
+        monkeypatch.setenv("MAXENT_THREADS", "banana")  # accepted and not read
         assert multistart_maximize(2, 3, cfg).as_dict() == reference
 
     # The single ordered_map job is where perfbench pauses its clock between

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from maxentsum import (
     ulc_suite,
 )
 from maxentsum.kernels import seeded_rng
-from maxentsum.parallel import thread_count
 from maxentsum import suites, ulc
 from maxentsum.suites import CHUNK_SIZE, SuiteReport
 from maxentsum.ulc import sign_lemma_rows
@@ -202,29 +202,21 @@ class TestDeterminism:
         assert all(a < b for a, b in zip(trials, trials[1:]))
         assert max(trials) >= CHUNK_SIZE
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    def test_chunks_run_in_order_on_the_calling_thread(self, monkeypatch):
         trials = 2 * CHUNK_SIZE + 100
         monkeypatch.delenv("MAXENT_THREADS", raising=False)
-        serial = sign_suite(trials=trials, seed=9).as_dict()
-        monkeypatch.setenv("MAXENT_THREADS", "4")
-        threaded = sign_suite(trials=trials, seed=9).as_dict()
-        assert serial == threaded
+        unset = sign_suite(trials=trials, seed=9).as_dict()
+        calls = []
 
+        def recording(tensors):
+            calls.append((threading.get_ident(), len(tensors)))
+            return sign_lemma_rows(tensors)
 
-class TestThreadCount:
-    @pytest.mark.parametrize("raw, expected", [(None, 1), ("", 1), ("0", 1), ("3", 3), (" 2 ", 2)])
-    def test_valid_values(self, monkeypatch, raw, expected):
-        if raw is None:
-            monkeypatch.delenv("MAXENT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MAXENT_THREADS", raw)
-        assert thread_count() == expected
-
-    @pytest.mark.parametrize("raw", ["banana", "-3", "2.5", "+2"])
-    def test_bad_values_raise(self, monkeypatch, raw):
-        monkeypatch.setenv("MAXENT_THREADS", raw)
-        with pytest.raises(DomainError, match="MAXENT_THREADS"):
-            thread_count()
+        monkeypatch.setattr(suites, "sign_lemma_rows", recording)
+        monkeypatch.setenv("MAXENT_THREADS", "4")  # accepted and not read
+        assert sign_suite(trials=trials, seed=9).as_dict() == unset
+        caller = threading.get_ident()
+        assert calls == [(caller, CHUNK_SIZE), (caller, CHUNK_SIZE), (caller, 100)]
 
 
 class TestViolationRecords:
