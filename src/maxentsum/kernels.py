@@ -132,7 +132,8 @@ def block_rows(toeplitz: np.ndarray, p: np.ndarray, neg: np.ndarray):
     ``_ETA_MAX`` where the curve is flat or not concave.
     """
     sums = np.matmul(toeplitz, p[:, :, None])[:, :, 0]
-    logs = log2_rows(sums)
+    floored = np.maximum(sums, ZERO_FLOOR)  # clamped once, for the logs and the curvature
+    logs = np.log2(floored)
     # Negate the terms rather than the product: one pass fewer, same bits.
     grad = np.matmul((-LOG2E - logs)[:, None, :], toeplitz)[:, 0, :]
     masked = grad + neg
@@ -144,7 +145,7 @@ def block_rows(toeplitz: np.ndarray, p: np.ndarray, neg: np.ndarray):
     slope = np.add.reduce(dc, axis=1)
     td = np.matmul(toeplitz, d[:, :, None])[:, :, 0]
     td *= td
-    td /= np.maximum(sums, ZERO_FLOOR)
+    td /= floored
     curv = np.add.reduce(td, axis=1)
     curv *= LOG2E  # 1 / ln 2
     curv -= np.add.reduce(dc * c, axis=1)

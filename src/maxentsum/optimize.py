@@ -33,11 +33,15 @@ independently, so a start's trajectory does not depend on its batch or on
 how long it waited.  A row counts its objective evaluations as it goes, and
 its start's record is written once, when the row retires.
 
-Cyclic ascent can crawl: near the conjectured maximizer two blocks trade the
-{0, r} role and the interior role over hundreds of sweeps, each sweep moving
-the masses a little further the same way.  A start that has swept long enough
-therefore extrapolates along its sweep move at the end of each sweep, as
-SQUAREM and accelerated Blahut-Arimoto do for their fixed-point maps.
+Both loops can crawl.  Inside a block, near a face of its simplex, the
+update zig-zags: two masses swap back and forth while the others drift a
+little each step, so a block ranks, every other step, extrapolations along
+its two-step move.  Across sweeps, near the conjectured maximizer, two blocks
+trade the {0, r} role and the interior role over hundreds of sweeps, each
+sweep moving the masses a little further the same way, so a start that has
+swept long enough extrapolates along its sweep move at the end of each
+sweep.  Both are the step-length extrapolation that SQUAREM and accelerated
+Blahut-Arimoto apply to their fixed-point maps.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .kernels import (
     log2_rows,
     ordered_map,
     seeded_rng,
+    sum_rows,
     toeplitz_rows,
 )
 from .pmf import Pmf, _finalize, _summands
@@ -94,6 +99,12 @@ _XFROM = 16
 #: half of the live rows or the oldest has waited this many iterations: one
 #: batched block transition costs about as much as the transition of one row.
 _WAIT = 20
+#: Multiples of a block's two-step move that ``_Lockstep._leap`` ranks.
+_LEAPS = np.array([1.0, 3.0, 7.0, 15.0])
+#: A row ranks them at this accepted step of its history and every other one
+#: after it.  A ranking costs about as much as a block step; from the third
+#: step, rows ranked in half of all iterations and large cells ran slower.
+_LEAP_FROM = 5
 #: The least block exponent.  At ln 2 the update ``p * 2^shift`` is the
 #: Blahut-Arimoto step, which never lowers H(S_n) in exact arithmetic, so a
 #: candidate at this exponent is accepted without comparing rounded values.
@@ -135,8 +146,10 @@ class StartRecord:
     sweep ended with; it bounds, in bits, what any change of one block alone
     could still add to H(S_n).  ``steps`` counts the objective evaluations
     of the start: its candidate block steps, accepted and rejected, its
-    block-entry moves and its extrapolation trials.  ``jumps`` counts the
-    extrapolations it accepted.
+    block-entry moves and its extrapolation trials at sweep ends.  The
+    in-block extrapolations that a block step ranks do not count: the step
+    counts once, whichever candidate it takes.  ``jumps`` counts the
+    sweep-end extrapolations it accepted.
     """
 
     start_id: int
@@ -227,7 +240,10 @@ class _Lockstep:
     exponent, at most 2; an accepted candidate sets it to the new point's
     Newton exponent, at most twice the old one, and a rejected one halves it.
     The exponent never falls below ``_ETA_BA``, where a candidate is accepted
-    without comparing values.
+    without comparing values.  Every other accepted step, a row also ranks
+    extrapolations of its block (``_leap``); one that wins takes the place of
+    the plain candidate, is accepted only if H(S_n) does not fall, and begins
+    the row's step history (``back``, ``streak``) anew.
 
     ``block_neg`` is the per-block mask of the call, 0 on a block's free
     coordinates and ``-inf`` on its pinned ones; ``step`` and ``enter`` index
@@ -238,13 +254,13 @@ class _Lockstep:
     sweep move (see ``_XFROM``); the row then sweeps again from the new
     point, so a sweep that extrapolated never settles its start.  ``steps``
     counts a row's objective evaluations: one per iteration in which it is
-    active, one per entry move and one per extrapolation trial.
+    active, one per entry move and one per sweep-end extrapolation trial.
     """
 
     _FIELDS = (
         "ids", "blocks", "cur", "toeplitz", "p", "shift", "value", "gap", "stop", "eta",
         "inner", "sweeps", "prev", "sweep_gap", "sweep_cut", "done", "active", "steps",
-        "origin", "jumps",
+        "origin", "jumps", "back", "streak",
     )
 
     def __init__(self, blocks: np.ndarray, neg: np.ndarray, outer_tol: float):
@@ -271,6 +287,10 @@ class _Lockstep:
         self.steps = np.zeros(count, dtype=int)
         self.origin = blocks.copy()
         self.jumps = np.zeros(count, dtype=int)
+        # The row's blocks one and two accepted steps ago, and how many steps
+        # it accepted since block entry or since an extrapolation last won.
+        self.back = np.zeros((count, 2, m))
+        self.streak = np.zeros(count, dtype=int)
         # Outputs, indexed by start id.
         self.out_blocks = np.empty_like(blocks)
         self.records: list[StartRecord | None] = [None] * count
@@ -307,10 +327,15 @@ class _Lockstep:
         q *= self.p
         total = np.add.reduce(q, axis=1, keepdims=True)
         np.divide(q, total, out=q, where=total > 0.0)  # every mass may underflow
+        leap = self._leap(q)
         value, _, shift, gap, newton = block_rows(self.toeplitz, q, self.block_neg[self.cur])
-        accepted = (value >= self.value) | (self.eta[:, 0] <= _ETA_BA)
-        accepted &= self.active & (total[:, 0] > 0.0)
+        accepted = (value >= self.value) | ((self.eta[:, 0] <= _ETA_BA) & ~leap)
+        accepted &= self.active & ((total[:, 0] > 0.0) | leap)
         column = accepted[:, None]
+        np.copyto(self.back[:, 1], self.back[:, 0], where=column)
+        np.copyto(self.back[:, 0], self.p, where=column)
+        self.streak += accepted
+        self.streak[leap] = 0
         np.copyto(self.p, q, where=column)
         np.copyto(self.shift, shift, where=column)
         np.copyto(self.value, value, where=accepted)
@@ -321,6 +346,43 @@ class _Lockstep:
         ended = (self.gap <= self.stop) | (self.inner >= _MAX_INNER)
         ended &= self.active
         return ended.nonzero()[0]
+
+    def _leap(self, q: np.ndarray) -> np.ndarray:
+        """Replace the pending candidate ``q`` of each row that ranks
+        extrapolations by its best one, where that one wins; return which
+        rows' candidates were replaced.
+
+        A row ranks after every other accepted step, from step
+        ``_LEAP_FROM`` of its history, which begins at block entry and when an
+        extrapolation wins: the blocks ``p * 2^(t d)``, renormalized, along
+        its two-step move ``d = log2 p - log2 p_2`` (``p_2`` is ``back[:, 1]``,
+        its point two accepted steps ago) for t in ``_LEAPS``.  The move
+        cancels the two-cycle of a stiff block and keeps its drift.  A
+        candidate that takes a positive mass to ``ZERO_FLOOR`` never wins; the
+        best one wins if its entropy beats both ``q``'s and the row's value.
+        ``step`` then accepts it only if :func:`block_rows` finds H(S_n) not
+        lower, and a winner, accepted or not, begins the row's history anew."""
+        leap = np.zeros(q.shape[0], dtype=bool)
+        rows = (self.active & (self.streak >= _LEAP_FROM) & (self.streak % 2 == 1)).nonzero()[0]
+        if not rows.size:
+            return leap
+        p = self.p[rows]
+        e = _LEAPS[:, None] * (log2_rows(p) - log2_rows(self.back[rows, 1]))[:, None, :]
+        ranked = np.empty((rows.size, _LEAPS.size + 1, p.shape[1]))
+        ranked[:, 0] = q[rows]
+        tried = ranked[:, 1:]
+        np.exp2(e - np.maximum.reduce(e, axis=2, keepdims=True), out=tried)
+        tried *= p[:, None, :]
+        tried /= np.add.reduce(tried, axis=2, keepdims=True)
+        # ``T @ c`` of every candidate, by a broadcast product and not by BLAS.
+        sums = sum_rows(self.toeplitz[rows, None] * ranked[:, :, None, :])
+        value = entropy_rows(sums, log2_rows(sums))
+        value[:, 1:][((tried <= ZERO_FLOOR) & (p[:, None, :] > 0.0)).any(axis=2)] = -math.inf
+        best = 1 + np.argmax(value[:, 1:], axis=1)
+        wins = value[np.arange(rows.size), best] > np.maximum(value[:, 0], self.value[rows])
+        leap[rows[wins]] = True
+        q[rows[wins]] = ranked[wins, best[wins]]
+        return leap
 
     def enter(self, idx: np.ndarray) -> np.ndarray:
         """Start the current block of rows ``idx``; return those already stationary."""
@@ -347,6 +409,7 @@ class _Lockstep:
         self.stop[idx] = np.maximum(_GAP_CUT * gap, INNER_TOL)
         self.eta[idx] = np.maximum(np.minimum(newton, 2.0), _ETA_BA)[:, None]
         self.inner[idx] = 0
+        self.streak[idx] = 0
         return idx[gap <= INNER_TOL]
 
     def close(self, idx: np.ndarray) -> np.ndarray:
@@ -372,7 +435,8 @@ class _Lockstep:
         settled = (self.value[ends] - self.prev[ends] < self.outer_tol) & ~self.sweep_cut[ends]
         capped = ~settled & (swept >= MAX_OUTER_SWEEPS)
         keep = ~(settled | capped)
-        self._retire(ends[~keep], capped[~keep])
+        if not keep.all():
+            self._retire(ends[~keep], capped[~keep])
         again = ends[keep]
         late = again[swept[keep] >= _XFROM]
         if late.size:

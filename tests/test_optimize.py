@@ -378,12 +378,13 @@ class TestInexactBlocks:
                 assert rec.converged == (rec.reason == "stationary")
 
 
-#: Start 0 of this (2,4) call crawls along a ridge: 215 sweeps without extrapolation.
+#: Start 0 of this (2,4) call crawls along a ridge: 204 sweeps without sweep-end extrapolation.
 RIDGE = dict(starts=1, seed=201)
 
 
 def _plain_digest(result):
-    """sha256 of ``as_dict()`` without ``jumps``, as plain cyclic ascent reports it."""
+    """sha256 of ``as_dict()`` without ``jumps``, as ascent without sweep-end
+    extrapolation reports it."""
     payload = result.as_dict()
     for rec in payload["per_start"]:
         del rec["jumps"]
@@ -449,15 +450,15 @@ class TestExtrapolation:
     def test_steps_count_trials_and_are_pinned(self, cut_runs):
         cells = [cell for cell in CUT_CELLS if cell[:2] == (2, 4)]
         records = [rec for cell in cells for rec in cut_runs[cell].per_start]
-        assert sum(rec.steps for rec in records) == 13_405  # 31,931 without extrapolation
-        assert sum(rec.jumps for rec in records) == 46
+        assert sum(rec.steps for rec in records) == 7_988  # 14,688 without sweep-end extrapolation
+        assert sum(rec.jumps for rec in records) == 40
 
     # Each digest was recorded from the same call with ``_extrapolate`` a no-op.
     @pytest.mark.parametrize("n, r, config, digest", [
         pytest.param(3, 2, dict(starts=6, seed=3),
-                     "a651a6b1d60744039941d91debca293ae90062748f8ad0c02f6c27b65d0b4ad4", id="3-2"),
+                     "a3a1a12288d38d560d708e14fcbf659edd20770054a592f0695949c56c84a18b", id="3-2"),
         pytest.param(2, 4, RIDGE,
-                     "3743e36c233ca7aebbfe991fd36fab9ed0f2eabda5ede66281722fbd9eaaecf4", id="2-4-ridge"),
+                     "4c30e72215c49dbe31964e11f3a5cbf8a140454a3896b12681bd9fe6711fbc6c", id="2-4-ridge"),
     ])
     def test_gate_past_the_sweep_cap_gives_plain_ascent(self, monkeypatch, n, r, config, digest):
         config = OptimizerConfig(**config)
@@ -493,8 +494,90 @@ class TestEntryMove:
         # The (3,4) cell of benchmark ``sweep`` seed 410, iteration 0.  Without
         # the entry move its dominated masses made this start zig-zag for 1,223 steps.
         result = multistart_maximize(3, 4, OptimizerConfig(starts=32, seed=797609830))
-        assert max(rec.steps for rec in result.per_start) == 605
+        assert max(rec.steps for rec in result.per_start) == 203  # 605 without in-block extrapolation
         assert all(rec.converged for rec in result.per_start)
+
+
+class TestInBlockExtrapolation:
+    def _leaps(self, monkeypatch):
+        """Record, per row whose extrapolated candidate wins its ranking, the
+        block and value before the step and the block and value after it."""
+        leaps, pending = [], []
+        original_leap, original_step = optimize._Lockstep._leap, optimize._Lockstep.step
+
+        def leap(run, q):
+            won = original_leap(run, q)
+            pending.append((won.copy(), run.p[won].copy(), run.value[won].copy()))
+            return won
+
+        def step(run):
+            pending.clear()
+            ended = original_step(run)
+            if pending:
+                won, before, value = pending[0]
+                leaps.extend(zip(before, value, run.p[won].copy(), run.value[won].copy()))
+            return ended
+
+        monkeypatch.setattr(optimize._Lockstep, "_leap", leap)
+        monkeypatch.setattr(optimize._Lockstep, "step", step)
+        return leaps
+
+    @staticmethod
+    def _check(leaps):
+        assert any((after != before).any() for before, _, after, _ in leaps)
+        for before, value, after, new_value in leaps:
+            assert new_value >= value
+            assert (after[before > 0.0] > ZERO_FLOOR).all() and (after[before == 0.0] == 0.0).all()
+
+    def test_block_ascend_never_lowers_the_value_or_zeroes_a_free_mass(self, monkeypatch):
+        leaps = self._leaps(monkeypatch)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n, r = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            inputs = random_inputs(rng, n, r)
+            block_ascend(inputs, int(rng.integers(0, n)))
+        self._check(leaps)
+
+    @pytest.mark.parametrize("n, r, ell, seed", [
+        pytest.param(2, 4, None, 3, id="2-4"),
+        pytest.param(3, 5, None, 8, id="3-5"),
+        pytest.param(3, 5, 2, 9, id="restricted-3-5-2"),
+    ])
+    def test_multistart_never_lowers_the_value_or_zeroes_a_free_mass(self, monkeypatch,
+                                                                     n, r, ell, seed):
+        leaps = self._leaps(monkeypatch)
+        _run_cell(n, r, ell, 8, seed)
+        self._check(leaps)
+
+    def test_rejected_extrapolation_takes_the_plain_step_next(self, monkeypatch):
+        # Every candidate that wins the ranking is rejected by the value
+        # ``block_rows`` returns.  A row that kept its history would rank and
+        # lose the same candidates at the same point for ever.
+        rejected, checked = {}, []
+        original_leap, original_block_rows = optimize._Lockstep._leap, optimize.block_rows
+        armed = []
+
+        def leap(run, q):
+            for row, sid in enumerate(run.ids.tolist()):
+                if sid in rejected:
+                    assert run.streak[row] == 0  # so this step ranks nothing
+                    assert (run.p[row] == rejected.pop(sid)).all()
+                    checked.append(sid)
+            won = original_leap(run, q)
+            rejected.update(zip(run.ids[won].tolist(), run.p[won].copy()))
+            armed.append(won)
+            return won
+
+        def block_rows(toeplitz, p, neg):
+            value, *rest = original_block_rows(toeplitz, p, neg)
+            if armed:
+                value = np.where(armed.pop(), -math.inf, value)
+            return (value, *rest)
+
+        monkeypatch.setattr(optimize._Lockstep, "_leap", leap)
+        monkeypatch.setattr(optimize, "block_rows", block_rows)
+        result = multistart_maximize(3, 3, OptimizerConfig(starts=8, seed=1))
+        assert checked and all(rec.converged for rec in result.per_start)
 
 
 class TestLockstepDeterminism:
@@ -544,11 +627,11 @@ class TestLockstepDeterminism:
 class TestPinnedOutput:
     # First 12 hex digits of the sha256 of the sorted-key ``as_dict()`` JSON:
     # the default path, with the gap cut, deferred block ends, the entry move
-    # and extrapolation.
+    # and both extrapolations, in-block and at sweep ends.
     @pytest.mark.parametrize("n, r, ell, starts, seed, digest", [
-        pytest.param(2, 4, None, 32, 1, "f696f976df9e", id="2-4"),
-        pytest.param(3, 4, None, 32, 401, "6d80d79dd29c", id="3-4"),
-        pytest.param(4, 3, 2, 16, 5, "5d6bbca0d40f", id="restricted-4-3-2"),
+        pytest.param(2, 4, None, 32, 1, "4f90d3ec42f3", id="2-4"),
+        pytest.param(3, 4, None, 32, 401, "5ba3dc6b3ed9", id="3-4"),
+        pytest.param(4, 3, 2, 16, 5, "4aad110852a6", id="restricted-4-3-2"),
     ])
     def test_default_path_is_pinned(self, n, r, ell, starts, seed, digest):
         payload = json.dumps(_run_cell(n, r, ell, starts, seed).as_dict(), sort_keys=True)
