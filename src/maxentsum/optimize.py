@@ -41,7 +41,8 @@ trade the {0, r} role and the interior role over hundreds of sweeps, each
 sweep moving the masses a little further the same way, so a start that has
 swept long enough extrapolates along its sweep move at the end of each
 sweep.  Both are the step-length extrapolation that SQUAREM and accelerated
-Blahut-Arimoto apply to their fixed-point maps.
+Blahut-Arimoto apply to their fixed-point maps, and both rank one set of
+multiples of their move in one batch.
 """
 
 from __future__ import annotations
@@ -99,11 +100,13 @@ _XFROM = 16
 #: half of the live rows or the oldest has waited this many iterations: one
 #: batched block transition costs about as much as the transition of one row.
 _WAIT = 20
-#: Multiples of a block's two-step move that ``_Lockstep._leap`` ranks.
-_LEAPS = np.array([1.0, 3.0, 7.0, 15.0])
-#: A row ranks them at this accepted step of its history and every other one
-#: after it.  A ranking costs about as much as a block step; from the third
-#: step, rows ranked in half of all iterations and large cells ran slower.
+#: The multiples of a move that both extrapolations rank (:func:`_along`).  The
+#: sweep-end jump needs the large ones: with 1, 3, 7 and 15 alone, benchmark
+#: sweeps took 17% more lockstep iterations.
+_LEAPS = 2.0 ** np.arange(8)
+#: A row ranks them in a block at this accepted step of its history and every
+#: other one after it.  A ranking costs about as much as a block step; from the
+#: third step, rows ranked in half of all iterations and large cells ran slower.
 _LEAP_FROM = 5
 #: The least block exponent.  At ln 2 the update ``p * 2^shift`` is the
 #: Blahut-Arimoto step, which never lowers H(S_n) in exact arithmetic, so a
@@ -146,10 +149,10 @@ class StartRecord:
     sweep ended with; it bounds, in bits, what any change of one block alone
     could still add to H(S_n).  ``steps`` counts the objective evaluations
     of the start: its candidate block steps, accepted and rejected, its
-    block-entry moves and its extrapolation trials at sweep ends.  The
-    in-block extrapolations that a block step ranks do not count: the step
-    counts once, whichever candidate it takes.  ``jumps`` counts the
-    sweep-end extrapolations it accepted.
+    block-entry moves and the ``_LEAPS.size`` candidates of each sweep-end
+    extrapolation.  The in-block extrapolations that a block step ranks do
+    not count: the step counts once, whichever candidate it takes.
+    ``jumps`` counts the sweep-end extrapolations it accepted.
     """
 
     start_id: int
@@ -207,6 +210,18 @@ def _block_terms(blocks: np.ndarray, cur: np.ndarray, neg: np.ndarray):
     return (toeplitz, *block_rows(toeplitz, blocks[rows, cur], neg))
 
 
+def _along(y: np.ndarray, d: np.ndarray):
+    """The blocks ``y * 2^(t d)``, renormalized over the last axis, for t in
+    ``_LEAPS`` on a new axis 1, and which of them take a mass positive in
+    ``y`` to ``ZERO_FLOOR`` or below.  A mass that is 0 in ``y`` stays 0."""
+    e = _LEAPS.reshape(-1, *[1] * (d.ndim - 1)) * d[:, None]
+    q = np.exp2(e - np.maximum.reduce(e, axis=-1, keepdims=True))
+    q *= y[:, None]
+    q /= np.add.reduce(q, axis=-1, keepdims=True)
+    zeroed = (q <= ZERO_FLOOR) & (y[:, None] > 0.0)
+    return q, zeroed.reshape(*q.shape[:2], -1).any(axis=2)
+
+
 def _face_moves(p: np.ndarray, shift: np.ndarray, gap: np.ndarray):
     """The active-set move of each row of blocks ``p`` and whether it moves.
 
@@ -254,7 +269,7 @@ class _Lockstep:
     sweep move (see ``_XFROM``); the row then sweeps again from the new
     point, so a sweep that extrapolated never settles its start.  ``steps``
     counts a row's objective evaluations: one per iteration in which it is
-    active, one per entry move and one per sweep-end extrapolation trial.
+    active, one per entry move and ``_LEAPS.size`` per sweep-end ranking.
     """
 
     _FIELDS = (
@@ -354,12 +369,10 @@ class _Lockstep:
 
         A row ranks after every other accepted step, from step
         ``_LEAP_FROM`` of its history, which begins at block entry and when an
-        extrapolation wins: the blocks ``p * 2^(t d)``, renormalized, along
-        its two-step move ``d = log2 p - log2 p_2`` (``p_2`` is ``back[:, 1]``,
-        its point two accepted steps ago) for t in ``_LEAPS``.  The move
-        cancels the two-cycle of a stiff block and keeps its drift.  A
-        candidate that takes a positive mass to ``ZERO_FLOOR`` never wins; the
-        best one wins if its entropy beats both ``q``'s and the row's value.
+        extrapolation wins: the candidates of :func:`_along` along its two-step
+        move ``d = log2 p - log2 back[:, 1]``, which cancels the two-cycle of a
+        stiff block and keeps its drift.  One that zeroes a positive mass never
+        wins; the best wins if its entropy beats both ``q``'s and the row's value.
         ``step`` then accepts it only if :func:`block_rows` finds H(S_n) not
         lower, and a winner, accepted or not, begins the row's history anew."""
         leap = np.zeros(q.shape[0], dtype=bool)
@@ -367,17 +380,12 @@ class _Lockstep:
         if not rows.size:
             return leap
         p = self.p[rows]
-        e = _LEAPS[:, None] * (log2_rows(p) - log2_rows(self.back[rows, 1]))[:, None, :]
-        ranked = np.empty((rows.size, _LEAPS.size + 1, p.shape[1]))
-        ranked[:, 0] = q[rows]
-        tried = ranked[:, 1:]
-        np.exp2(e - np.maximum.reduce(e, axis=2, keepdims=True), out=tried)
-        tried *= p[:, None, :]
-        tried /= np.add.reduce(tried, axis=2, keepdims=True)
+        tried, zeroed = _along(p, log2_rows(p) - log2_rows(self.back[rows, 1]))
+        ranked = np.concatenate((q[rows, None], tried), axis=1)
         # ``T @ c`` of every candidate, by a broadcast product and not by BLAS.
         sums = sum_rows(self.toeplitz[rows, None] * ranked[:, :, None, :])
         value = entropy_rows(sums, log2_rows(sums))
-        value[:, 1:][((tried <= ZERO_FLOOR) & (p[:, None, :] > 0.0)).any(axis=2)] = -math.inf
+        value[:, 1:][zeroed] = -math.inf
         best = 1 + np.argmax(value[:, 1:], axis=1)
         wins = value[np.arange(rows.size), best] > np.maximum(value[:, 0], self.value[rows])
         leap[rows[wins]] = True
@@ -455,32 +463,22 @@ class _Lockstep:
         later one and sweep again.
 
         A row's sweep move ``d`` is the change of its log2 masses over the
-        sweep, from ``origin`` to ``y``.  The row tries the blocks
-        ``y * 2^(t d)``, renormalized per block, for t = 1, 2, 4, ... and
-        keeps the best while H(S_n) rises.  A candidate that takes a mass
-        positive in ``y`` to ``ZERO_FLOOR`` or below is never better: only a
-        block entry may zero a mass, where a dominated one is dropped on
-        purpose.  A mass that is 0 in ``y``, pinned or dropped, stays 0."""
-        move = log2_rows(self.blocks[rows]) - log2_rows(self.origin[rows])
+        sweep, from ``origin`` to its blocks ``y``.  The row ranks the
+        candidates of :func:`_along` in one batch and moves to the best one
+        if it raises H(S_n); each candidate counts as a step.  A candidate
+        that zeroes a mass positive in ``y`` never wins: only a block entry
+        may zero a mass, where a dominated one is dropped on purpose."""
         y = self.blocks[rows]
-        best = self.value[rows]
-        live = np.arange(rows.size)
-        t = 1.0
-        while live.size:
-            e = t * move[live]
-            q = y[live] * np.exp2(e - np.maximum.reduce(e, axis=2, keepdims=True))
-            q /= np.add.reduce(q, axis=2, keepdims=True)
-            sums = fold_rows(q)
-            value = entropy_rows(sums, log2_rows(sums))
-            self.steps[rows[live]] += 1
-            zeroed = ((q <= ZERO_FLOOR) & (y[live] > 0.0)).any(axis=(1, 2))
-            better = (value > best[live]) & ~zeroed
-            live = live[better]
-            self.blocks[rows[live]] = q[better]
-            best[live] = value[better]
-            t *= 2.0
-        self.jumps[rows] += best > self.value[rows]
-        self.value[rows] = best
+        tried, zeroed = _along(y, log2_rows(y) - log2_rows(self.origin[rows]))
+        sums = fold_rows(tried.reshape(-1, *y.shape[1:]))
+        value = entropy_rows(sums, log2_rows(sums)).reshape(zeroed.shape)
+        value[zeroed] = -math.inf
+        best = np.arange(rows.size), np.argmax(value, axis=1)
+        wins = value[best] > self.value[rows]
+        self.steps[rows] += _LEAPS.size
+        self.jumps[rows] += wins
+        self.blocks[rows[wins]] = tried[best][wins]
+        self.value[rows[wins]] = value[best][wins]
 
     def _retire(self, idx: np.ndarray, capped: np.ndarray) -> None:
         """Record the starts of rows ``idx``; ``capped`` marks those that hit

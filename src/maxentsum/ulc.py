@@ -410,14 +410,19 @@ def random_ulc_sequences(order: int, count: int, rng: np.random.Generator) -> np
     Each row makes u_i / C(order, i) log-concave from ``order`` iid lognormal
     ratios taken in decreasing order; every strictly positive ULC(order)
     vector has positive density.  Deterministic given the generator state;
-    returned coordinate-major.
+    returned coordinate-major.  Raises :class:`DomainError` when a row
+    overflows float64 before it is normalized (order 1000 can).
     """
     check_count("order", order, 1)
     check_count("count", count, 1)
     ratios = np.sort(rng.lognormal(0.0, 1.0, size=(count, order)), axis=1)
     seqs = np.empty((count, order + 1), order="F")
     seqs[:, 0] = 1.0
-    np.cumprod(ratios[:, ::-1], axis=1, out=seqs[:, 1:])
-    seqs *= [math.comb(order, i) for i in range(order + 1)]
-    seqs /= sum_rows(seqs)[:, None]
+    try:
+        with np.errstate(over="raise"):
+            np.cumprod(ratios[:, ::-1], axis=1, out=seqs[:, 1:])
+            seqs *= [float(math.comb(order, i)) for i in range(order + 1)]
+            seqs /= sum_rows(seqs)[:, None]
+    except (FloatingPointError, OverflowError):
+        raise DomainError(f"ULC({order}) rows overflow float64") from None
     return seqs

@@ -14,6 +14,10 @@ the same on every CPU are compared against a run on another core.
 
 Work runs on the calling thread: no module imports a thread or process
 library, so no setting can change how jobs are scheduled.
+
+The optimizer extrapolates by one rule: ``optimize._along`` builds the
+candidates of both its extrapolations, so ``np.exp2`` stays there and in the
+grid oracle's Blahut-Arimoto step.
 """
 
 import ast
@@ -63,6 +67,11 @@ SUITE_SUMS = [
     # A count of flagged rows: integers add exactly in any order.
     ("suites.py", "sign_suite", "hypothesis.sum()"),
 ]
+
+#: (module, top-level definition) of every ``np.exp2`` call in ``optimize.py``:
+#: the candidate builder of the in-block and the sweep-end extrapolation, and
+#: the bound pass's Blahut-Arimoto step.  A second builder would fork the rule.
+OPTIMIZE_EXP2_SITES = [("optimize.py", "_along"), ("optimize.py", "_near_best_heads")]
 
 
 def package_nodes():
@@ -119,6 +128,12 @@ def test_blas_stays_in_its_listed_places():
 
 def test_suite_sums_stay_in_their_listed_places():
     assert suite_sums() == SUITE_SUMS
+
+
+def test_exp2_stays_in_its_listed_places():
+    sites = callers(lambda node: isinstance(node, ast.Attribute) and node.attr == "exp2"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+    assert [site for site in sites if site[0] == "optimize.py"] == OPTIMIZE_EXP2_SITES
 
 
 #: Top-level modules that would let the package schedule work off the calling thread.

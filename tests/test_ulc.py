@@ -421,6 +421,19 @@ class TestRandomUlcSequences:
             for u in seqs:
                 assert is_ulc_order(u, order)
 
+    # From order 68 on, C(order, i) no longer fits in 64-bit integers.
+    @pytest.mark.parametrize("order", [68, 200])
+    def test_high_orders_are_valid(self, order):
+        seqs = random_ulc_sequences(order, 100, np.random.default_rng(order))
+        assert np.isfinite(seqs).all()
+        np.testing.assert_allclose(seqs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        for u in seqs:
+            assert is_ulc_order(u, order)
+
+    def test_rows_that_overflow_are_refused(self):
+        with pytest.raises(DomainError, match=r"^ULC\(1000\) rows overflow float64$"):
+            random_ulc_sequences(1000, 10, np.random.default_rng(1))
+
     def test_deterministic_given_seed(self):
         a = random_ulc_sequences(5, 100, np.random.default_rng(7))
         b = random_ulc_sequences(5, 100, np.random.default_rng(7))
