@@ -4,7 +4,9 @@ the seeded generator and the in-order job map through which both run.
 Every kernel treats the leading axis as independent rows and computes each
 row with the same operations, in the same order, whatever the number of rows.
 So a row's result does not depend on which other rows share its batch, which
-is what keeps multistart runs and suite chunks deterministic.
+is what keeps multistart runs and suite chunks deterministic.  Toeplitz
+products run through ``np.einsum`` without ``optimize=``, in numpy's own
+loops: no BLAS core sets their bits.
 
 Batches are stored coordinate-major (Fortran order), so a column slice or a
 reduction over coordinates runs one loop over all rows.  Elementwise
@@ -80,11 +82,11 @@ def fold_rows(blocks: np.ndarray) -> np.ndarray:
 def toeplitz_rows(rest: np.ndarray, m: int) -> np.ndarray:
     """Matrices T (rows, len + m - 1, m) with ``T[:, s, a] = rest[:, s - a]``.
 
-    ``T @ p`` is the convolution of ``rest`` with a length-m block ``p``, and
-    ``v @ T`` correlates ``v`` with ``rest``.
+    ``T·p`` is the convolution of ``rest`` with a length-m block ``p``, and
+    ``v·T`` correlates ``v`` with ``rest``.
     """
     rows, length = rest.shape
-    toeplitz = np.zeros((rows, length + m - 1, m))  # matmul rounding depends on layout
+    toeplitz = np.zeros((rows, length + m - 1, m))  # row-major: einsum's bits depend on layout
     for a in range(m):
         toeplitz[:, a : a + length, a] = rest
     return toeplitz
@@ -118,7 +120,7 @@ def entropy_rows(probs: np.ndarray, logs: np.ndarray) -> np.ndarray:
 def block_rows(toeplitz: np.ndarray, p: np.ndarray, neg: np.ndarray):
     """A block's calculus at each row's block ``p`` (rows, m), with ``T`` its
     rest's Toeplitz matrix and ``neg`` 0 on free coordinates, ``-inf`` on
-    pinned ones: the entropy in bits of the sum law ``S = T @ p``, the
+    pinned ones: the entropy in bits of the sum law ``S = T·p``, the
     gradient ``g``, ``g`` shifted to a zero maximum over the free coordinates
     (``-inf`` elsewhere), the stationarity gap ``max g - g.p`` and the Newton
     exponent of the block update.
@@ -131,11 +133,11 @@ def block_rows(toeplitz: np.ndarray, p: np.ndarray, neg: np.ndarray):
     The Newton exponent is ``f'(0) / -f''(0)``, capped at ``_ETA_MAX``; it is
     ``_ETA_MAX`` where the curve is flat or not concave.
     """
-    sums = np.matmul(toeplitz, p[:, :, None])[:, :, 0]
+    sums = np.einsum("rsa,ra->rs", toeplitz, p)
     floored = np.maximum(sums, ZERO_FLOOR)  # clamped once, for the logs and the curvature
     logs = np.log2(floored)
     # Negate the terms rather than the product: one pass fewer, same bits.
-    grad = np.matmul((-LOG2E - logs)[:, None, :], toeplitz)[:, 0, :]
+    grad = np.einsum("rs,rsa->ra", -LOG2E - logs, toeplitz)
     masked = grad + neg
     top = np.maximum.reduce(masked, axis=1, keepdims=True)
     mean = np.add.reduce(grad * p, axis=1, keepdims=True)
@@ -143,7 +145,7 @@ def block_rows(toeplitz: np.ndarray, p: np.ndarray, neg: np.ndarray):
     d = p * c
     dc = d * c
     slope = np.add.reduce(dc, axis=1)
-    td = np.matmul(toeplitz, d[:, :, None])[:, :, 0]
+    td = np.einsum("rsa,ra->rs", toeplitz, d)
     td *= td
     td /= floored
     curv = np.add.reduce(td, axis=1)

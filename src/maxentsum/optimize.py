@@ -63,7 +63,6 @@ from .kernels import (
     log2_rows,
     ordered_map,
     seeded_rng,
-    sum_rows,
     toeplitz_rows,
 )
 from .pmf import Pmf, _finalize, _summands
@@ -382,8 +381,7 @@ class _Lockstep:
         p = self.p[rows]
         tried, zeroed = _along(p, log2_rows(p) - log2_rows(self.back[rows, 1]))
         ranked = np.concatenate((q[rows, None], tried), axis=1)
-        # ``T @ c`` of every candidate, by a broadcast product and not by BLAS.
-        sums = sum_rows(self.toeplitz[rows, None] * ranked[:, :, None, :])
+        sums = np.einsum("rsa,rca->rcs", self.toeplitz[rows], ranked)
         value = entropy_rows(sums, log2_rows(sums))
         value[:, 1:][zeroed] = -math.inf
         best = 1 + np.argmax(value[:, 1:], axis=1)

@@ -107,7 +107,7 @@ def test_toeplitz_product_is_convolution(rng):
     p = rng.dirichlet(np.ones(4), size=3)
     toeplitz = toeplitz_rows(rest, 4)
     assert toeplitz.shape == (3, 10, 4)
-    sums = np.matmul(toeplitz, p[:, :, None])[:, :, 0]
+    sums = np.einsum("rsa,ra->rs", toeplitz, p)
     for t in range(3):
         np.testing.assert_allclose(sums[t], np.convolve(rest[t], p[t]), rtol=0, atol=1e-16)
 
@@ -118,7 +118,7 @@ def test_block_rows_value_is_the_entropy_of_the_block_sum_law(rng):
     p[1, 2] = 0.0
     toeplitz = toeplitz_rows(rest, 4)
     values = block_rows(toeplitz, p, np.zeros((3, 4)))[0]
-    sums = np.matmul(toeplitz, p[:, :, None])[:, :, 0]
+    sums = np.einsum("rsa,ra->rs", toeplitz, p)
     for t in range(3):
         np.testing.assert_allclose(sums[t], np.convolve(rest[t], p[t]), rtol=0, atol=1e-16)
     np.testing.assert_array_equal(values, entropy_rows(sums, log2_rows(sums)))
@@ -164,12 +164,30 @@ def test_block_rows_gradient_is_correlation_with_the_rest(rng):
     rest = rng.dirichlet(np.ones(5), size=2)
     p = rng.dirichlet(np.ones(3), size=2)
     toeplitz = toeplitz_rows(rest, 3)
-    sums = np.matmul(toeplitz, p[:, :, None])[:, :, 0]
+    sums = np.einsum("rsa,ra->rs", toeplitz, p)
     grad = block_rows(toeplitz, p, np.zeros((2, 3)))[1]
     for t in range(2):
         terms = np.log2(sums[t]) + np.log2(np.e)
         expected = -np.correlate(terms, rest[t], mode="valid")
         np.testing.assert_allclose(grad[t], expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_block_rows_computes_each_row_alone(rng, m):
+    # A row's five outputs have the same bytes in a batch of 65 as alone, so a
+    # start's trajectory does not depend on which starts share its lockstep.
+    for n in range(1, 11):
+        toeplitz = toeplitz_rows(fold_rows(rng.dirichlet(np.ones(m), size=(65, n - 1))), m)
+        p = rng.dirichlet(np.ones(m), size=65)
+        neg = np.zeros((65, m))
+        neg[::3, 1:-1] = -np.inf  # rows with pinned inner coordinates
+        p[::3, 1:-1] = 0.0
+        p[1::4, 0] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        batch = block_rows(toeplitz, p, neg)
+        for t in range(65):
+            alone = block_rows(toeplitz[t : t + 1], p[t : t + 1], neg[t : t + 1])
+            assert [out[t].tobytes() for out in batch] == [out[0].tobytes() for out in alone]
 
 
 def test_seeded_rng_streams():

@@ -9,8 +9,15 @@ reference of ``suites.decomposition_suite``.
 
 BLAS products (``@``, ``np.dot``, ``np.matmul``) round in an order that
 depends on the BLAS core the CPU selects.  Each place that keeps one is
-listed below with its reason, and the values the package promises to be
-the same on every CPU are compared against a run on another core.
+listed below with its reason.  The values the package promises to be the
+same on every CPU, and the optimizer's, whose bits numpy's SIMD ``exp`` and
+``log2`` still set but no BLAS core does, are compared against a run on
+another core.
+
+The optimizer's Toeplitz products go through one rule instead: ``np.einsum``
+in ``kernels.block_rows`` and in ``optimize._Lockstep``'s in-block ranking,
+called without ``optimize=``, since an optimized contraction may be handed
+to BLAS.
 
 Work runs on the calling thread: no module imports a thread or process
 library, so no setting can change how jobs are scheduled.
@@ -32,7 +39,13 @@ import sys
 import numpy as np
 import pytest
 
-from maxentsum import entropy_lower_bound, sum_distribution
+from maxentsum import (
+    OptimizerConfig,
+    entropy_lower_bound,
+    multistart_maximize,
+    restricted_maximize,
+    sum_distribution,
+)
 from maxentsum.kernels import fold_rows
 from maxentsum.optimize import grid_oracle
 
@@ -44,9 +57,6 @@ BLAS_CALLS = ("dot", "matmul", "convolve")
 
 #: (module, top-level definition) of every place that may round by BLAS.
 BLAS_SITES = {
-    # A block's sum law, gradient and curvature by Toeplitz products, the
-    # optimizer's hot path: start values and step counts may differ between CPUs.
-    ("kernels.py", "block_rows"),
     # The grid oracle's incumbent, a float product that only sets the bound
     # pass's pruning cut 1e-12 bits under it: the oracle's bits do not depend
     # on its last bit.
@@ -73,6 +83,11 @@ SUITE_SUMS = [
 #: the bound pass's Blahut-Arimoto step.  A second builder would fork the rule.
 OPTIMIZE_EXP2_SITES = [("optimize.py", "_along"), ("optimize.py", "_near_best_heads")]
 
+#: (module, top-level definition) of every ``np.einsum`` call in ``kernels.py``
+#: and ``optimize.py``: a block's sum law, gradient and curvature, and the sum
+#: laws of the candidates an in-block ranking compares with them.
+EINSUM_SITES = {("kernels.py", "block_rows"), ("optimize.py", "_Lockstep")}
+
 
 def package_nodes():
     """(module, top-level definition, node) of every node of the package, in file order."""
@@ -87,6 +102,12 @@ def callers(matches):
     """(module, top-level definition) of each node of the package that
     ``matches``, in file order."""
     return [(module, top) for module, top, node in package_nodes() if matches(node)]
+
+
+def is_einsum(node) -> bool:
+    """``np.einsum(...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum")
 
 
 def np_convolve_callers():
@@ -136,6 +157,23 @@ def test_exp2_stays_in_its_listed_places():
     assert [site for site in sites if site[0] == "optimize.py"] == OPTIMIZE_EXP2_SITES
 
 
+def test_einsum_stays_in_its_listed_places():
+    sites = set(callers(is_einsum))
+    assert {site for site in sites if site[0] in ("kernels.py", "optimize.py")} == EINSUM_SITES
+
+
+def is_optimized_einsum(node) -> bool:
+    """An ``np.einsum`` call that passes ``optimize=``, which may contract
+    through ``np.tensordot``, that is through BLAS."""
+    return is_einsum(node) and any(kw.arg == "optimize" for kw in node.keywords)
+
+
+def test_no_einsum_is_optimized():
+    assert callers(is_optimized_einsum) == []
+    calls = ['np.einsum("rs,rsa->ra", a, b, optimize=True)', 'np.einsum("rs,rsa->ra", a, b)']
+    assert [is_optimized_einsum(ast.parse(call).body[0].value) for call in calls] == [True, False]
+
+
 #: Top-level modules that would let the package schedule work off the calling thread.
 CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
 
@@ -177,6 +215,8 @@ def _sha(parts) -> str:
 def _hexed(value):
     if isinstance(value, dict):
         return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hexed(item) for item in value]
     return value.hex() if isinstance(value, float) else value
 
 
@@ -199,6 +239,12 @@ def bit_digests() -> dict:
         # At (2, 2, 48) the grid oracle's bound pass takes ascent steps and prunes.
         "grid_oracle": _sha(
             grid_oracle(*args).hex() for args in [(2, 2, 12), (3, 2, 6), (1, 3, 10), (2, 2, 48)]
+        ),
+        "optimizer": _sha(
+            json.dumps(_hexed(result.as_dict()), sort_keys=True) for result in [
+                multistart_maximize(2, 3, OptimizerConfig(starts=4, seed=1)),
+                restricted_maximize(4, 3, 2, OptimizerConfig(starts=4, seed=1)),
+            ]
         ),
     }
 
