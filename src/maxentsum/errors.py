@@ -34,5 +34,7 @@ def is_real(value) -> bool:
 
 def check_count(name: str, value, least: int) -> None:
     """Raise :class:`DomainError` unless ``value`` is an integer >= ``least``."""
+    if type(value) is int and value >= least:
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -30,7 +30,8 @@ PmfLike = Union["Pmf", Sequence[float], np.ndarray]
 
 
 def _prob_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    # Always a fresh float64 copy that no one else holds.
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"probability vector must be 1-d, got shape {arr.shape}")
     return arr
@@ -78,16 +79,16 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _prob_array(self.probs).copy()
+        arr = _prob_array(self.probs)
         _validate(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray, total: float | None = None) -> "Pmf":
+    def _adopt(cls, arr: np.ndarray) -> "Pmf":
         # Private: validate and freeze a fresh array that no one else holds,
-        # without a second copy; ``total`` is its sum when already known.
-        _validate(arr, total)
+        # without a second copy.  Only ``read_pmf`` takes this path.
+        _validate(arr)
         return cls._unchecked(arr)
 
     @classmethod
@@ -139,18 +140,20 @@ def as_pmf(p: PmfLike) -> Pmf:
 
 
 def _finalize(raw: np.ndarray, context: str) -> Pmf:
-    """Wrap a fresh operation output that no one else holds, without copying it.
-
-    The output is renormalized only when its drift demands it.
-    """
+    """Validate and freeze a fresh operation output that no one else holds, without
+    copying it; the output is renormalized only when its drift demands it."""
     total = float(np.add.reduce(raw))
     drift = abs(total - 1.0)
     if drift > RENORMALIZE_DRIFT:
         if total == 0.0:
             raise ValidationError(f"{context} output sums to 0.0 and cannot be normalized")
         logger.debug("renormalizing %s output, drift %.3e", context, drift)
-        return Pmf._adopt(raw / total)
-    return Pmf._adopt(raw, total)
+        raw, total = raw / total, None
+    _validate(raw, total)
+    raw.flags.writeable = False
+    out = object.__new__(Pmf)
+    object.__setattr__(out, "probs", raw)
+    return out
 
 
 def entropy(p: PmfLike) -> float:
@@ -219,7 +222,7 @@ class ResidueDecomposition:
 
     def __post_init__(self):
         check_count("modulus", self.r, 1)
-        w = _prob_array(self.weights).copy()
+        w = _prob_array(self.weights)
         conds = tuple(self.conditionals)
         if w.size != self.r or len(conds) != self.r:
             raise ValidationError("need exactly r weights and conditionals")
@@ -231,11 +234,12 @@ class ResidueDecomposition:
             if (wj > 0.0) != bool(np.count_nonzero(law.probs)):
                 has = "no mass" if wj > 0.0 else "mass"
                 raise ValidationError(f"class {j} has weight {wj!r} but its law has {has}")
-        m = max((law.probs.size - 1) * self.r + j for j, law in enumerate(conds))
-        for j, law in enumerate(conds):
-            if law.probs.size != (m - j) // self.r + 1:
+        sizes = [law.probs.size for law in conds]
+        m = max((size - 1) * self.r + j for j, size in enumerate(sizes))
+        for j, size in enumerate(sizes):
+            if size != (m - j) // self.r + 1:
                 raise DomainError(
-                    f"conditional lengths are inconsistent: class {j} has {law.probs.size} "
+                    f"conditional lengths are inconsistent: class {j} has {size} "
                     f"entries but the implied support is {{0, ..., {m}}}"
                 )
         w.flags.writeable = False
@@ -264,11 +268,11 @@ def residue_decompose(p: PmfLike, r: int) -> ResidueDecomposition:
     """
     check_count("modulus", r, 1)
     r = int(r)
-    pmf = as_pmf(p)
+    probs = as_pmf(p).probs
     weights = np.empty(r)
     conds: list[Pmf] = []
     for j in range(r):
-        cls = pmf.probs[j::r]
+        cls = probs[j::r]
         wj = weights[j] = float(np.add.reduce(cls))
         conds.append(
             _finalize(cls / wj, "residue conditional") if wj > 0.0

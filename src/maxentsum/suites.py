@@ -269,15 +269,8 @@ def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> Sui
             worst[kind] = max(worst[kind], error)
             limit = 1e-10 if kind == "entropy" else 1e-12
             if error > limit:
-                violations.append(
-                    {
-                        "trial": int(offset + t),
-                        "kind": kind,
-                        "error": float(error),
-                        "r": int(modulus),
-                        "pmf": probs.tolist(),
-                    }
-                )
+                violations.append({"trial": int(offset + t), "kind": kind,
+                                   "error": float(error), "r": int(modulus), "pmf": probs.tolist()})
 
         for t in range(size):
             modulus = int(r) if r is not None else int(rng.integers(1, 5))
@@ -287,18 +280,18 @@ def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> Sui
             dec = residue_decompose(pmf, modulus)
 
             rebuilt = dec.reassemble().probs
-            record(t, "reassembly", float(np.abs(rebuilt - pmf.probs).max()), probs, modulus)
+            record(t, "reassembly", float(np.maximum.reduce(np.abs(rebuilt - probs))), probs, modulus)
 
             direct = _entropy_bits(pmf.probs)
             split = _entropy_bits(dec.weights) + sum(
-                float(w) * _entropy_bits(cond.probs)
-                for w, cond in zip(dec.weights, dec.conditionals)
+                w * _entropy_bits(cond.probs)
+                for w, cond in zip(dec.weights.tolist(), dec.conditionals)
                 if w > 0.0
             )
             record(t, "entropy", abs(direct - split), probs, modulus)
 
             mixed = mixture(dec.conditionals, dec.weights, modulus).probs
-            record(t, "mixture", float(np.abs(mixed - pmf.probs).max()), probs, modulus)
+            record(t, "mixture", float(np.maximum.reduce(np.abs(mixed - probs))), probs, modulus)
 
             span = int(rng.integers(1, 4))
             coarse = rng.dirichlet(np.ones(span + 1))
@@ -307,9 +300,9 @@ def decomposition_suite(trials: int, seed: int = 0, r: int | None = None) -> Sui
             shifted = convolve(pmf, Pmf(lifted))
             dec2 = residue_decompose(shifted, modulus)
             err = 0.0
-            for j in range(modulus):
-                expected = np.convolve(dec.conditionals[j].probs, coarse)
-                err = max(err, float(np.abs(dec2.conditionals[j].probs - expected).max()))
+            for cond, moved in zip(dec.conditionals, dec2.conditionals):
+                expected = np.convolve(cond.probs, coarse)
+                err = max(err, float(np.maximum.reduce(np.abs(moved.probs - expected))))
             record(t, "splitting", err, probs, modulus)
         return violations, {f"max_{kind}_error": error for kind, error in worst.items()}
 

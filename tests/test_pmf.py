@@ -611,6 +611,15 @@ def _gradient(i):
     _integer_case("block index", _gradient, True, 0),
     _integer_case("block index", _gradient, 1.0, 0),
     _integer_case("block index", _gradient, 1.5, 0),
+    # Not exact ints, so check_count's fast path must not take them.
+    _integer_case("modulus", _decompose, np.True_, 1),
+    _integer_case("modulus", _decompose, np.float64(2.0), 1),
+    _integer_case("order", _ulc_order, np.True_, 1),
+    _integer_case("order", _ulc_order, np.float64(2.0), 1),
+    _integer_case("count", _ulc_count, np.True_, 1),
+    _integer_case("count", _ulc_count, np.float64(2.0), 1),
+    _integer_case("block index", _ascend, np.True_, 0),
+    _integer_case("block index", _ascend, np.float64(1.0), 0),
 ])
 def test_integer_arguments_are_checked(call, value, message):
     # Each of these values ran before integer arguments went through
@@ -618,6 +627,20 @@ def test_integer_arguments_are_checked(call, value, message):
     with pytest.raises(DomainError) as info:
         call(value)
     assert str(info.value) == message
+
+
+def _result_bytes(result):
+    if isinstance(result, ResidueDecomposition):
+        return (result.r, result.weights.tobytes(), *(c.probs.tobytes() for c in result.conditionals))
+    return getattr(result, "probs", result).tobytes()
+
+
+@pytest.mark.parametrize("call", [_decompose, _ulc_order, _ulc_count, _ascend])
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_arguments_match_plain_int(call, kind):
+    # These miss check_count's exact-int fast path and take its general test.
+    for value in (0, 1) if call is _ascend else (1, 2):
+        assert _result_bytes(call(kind(value))) == _result_bytes(call(value))
 
 
 # Test-only copies of the validation and reassembly code before the one-pass
@@ -773,6 +796,19 @@ class TestOutputsAreFrozenCopies:
         weights = np.array(dec.weights)
         self.check(mixture(dec.conditionals, weights, 3), a, weights)
         self.check(read_pmf(io.StringIO("0.25\n0.75\n")))
+        buf = np.zeros(6)
+        buf[::2] = [0.5, 0.25, 0.25]
+        frozen = np.array([0.5, 0.5])
+        frozen.flags.writeable = False
+        for given, others in ((buf[::2], (buf,)), ([0, 1, 0], ()), (frozen, (frozen,))):
+            built = Pmf(given)
+            self.check(built, *others)
+            assert built.probs.dtype == np.float64
+        for given in (weights, weights.tolist()):
+            built = ResidueDecomposition(r=3, weights=given, conditionals=dec.conditionals)
+            assert not built.weights.flags.writeable and built.weights.flags.owndata
+            assert built.weights.dtype == np.float64
+            assert not np.shares_memory(built.weights, weights)
 
     def test_optimizer_outputs(self):
         rng = np.random.default_rng(4)
