@@ -25,13 +25,13 @@ lifted back into play.
 
 All starts of a call run at once as rows of one array, in row-asynchronous
 lockstep: one iteration evaluates one candidate step for every active row.  A
-row that finishes its block waits, frozen, until the waiting rows are half of
-the live rows or the oldest has waited ``_WAIT`` iterations; then all of them
-move on to their next blocks in one batch, which costs about as much as moving
-one row.  Every row keeps its own state and the kernels compute each row
-independently, so a start's trajectory does not depend on its batch or on
-how long it waited.  A row counts its objective evaluations as it goes, and
-its start's record is written once, when the row retires.
+row that finishes its block waits, frozen, until the waiting rows are at least
+half of the live rows; then all of them move on to their next blocks in one
+batch, which costs about as much as moving one row.  Every row keeps its own
+state and the kernels compute each row independently, so a start's trajectory
+does not depend on its batch or on how long it waited.  A row counts its
+objective evaluations as it goes, and its start's record is written once, when
+the row retires.
 
 Both loops can crawl.  Inside a block, near a face of its simplex, the
 update zig-zags: two masses swap back and forth while the others drift a
@@ -95,10 +95,6 @@ _GAP_CUT = 0.1
 #: the end of every sweep that does not settle it.  Few starts sweep that
 #: long, so the others pay nothing.
 _XFROM = 16
-#: A row whose block ends waits, frozen, until the waiting rows are at least
-#: half of the live rows or the oldest has waited this many iterations: one
-#: batched block transition costs about as much as the transition of one row.
-_WAIT = 20
 #: The multiples of a move that both extrapolations rank (:func:`_along`).  The
 #: sweep-end jump needs the large ones: with 1, 3, 7 and 15 alone, benchmark
 #: sweeps took 17% more lockstep iterations.
@@ -249,15 +245,15 @@ class _Lockstep:
 
     A row whose block ends becomes inactive and waits with its state frozen;
     ``run`` closes and enters the blocks of all waiting rows in one ``_settle``
-    once they are at least half of the live rows or the oldest has waited
-    ``_WAIT`` iterations.  Each block entry sets the exponent to the Newton
-    exponent, at most 2; an accepted candidate sets it to the new point's
-    Newton exponent, at most twice the old one, and a rejected one halves it.
-    The exponent never falls below ``_ETA_BA``, where a candidate is accepted
-    without comparing values.  Every other accepted step, a row also ranks
-    extrapolations of its block (``_leap``); one that wins takes the place of
-    the plain candidate, is accepted only if H(S_n) does not fall, and begins
-    the row's step history (``back``, ``streak``) anew.
+    once they are at least half of the live rows.  Each block entry sets the
+    exponent to the Newton exponent, at most 2; an accepted candidate sets it
+    to the new point's Newton exponent, at most twice the old one, and a
+    rejected one halves it.  The exponent never falls below ``_ETA_BA``, where
+    a candidate is accepted without comparing values.  Every other accepted
+    step, a row also ranks extrapolations of its block (``_leap``); one that
+    wins takes the place of the plain candidate, is accepted only if H(S_n)
+    does not fall, and begins the row's step history (``back``, ``streak``)
+    anew.
 
     ``block_neg`` is the per-block mask of the call, 0 on a block's free
     coordinates and ``-inf`` on its pinned ones; ``step`` and ``enter`` index
@@ -312,20 +308,11 @@ class _Lockstep:
     def run(self) -> "_Lockstep":
         self._settle(self.enter(self.ids))
         self._compact()
-        # The waiting rows' count and the iteration at which the first began.
-        iteration = waiting = oldest = 0
         while self.ids.size:
-            iteration += 1
-            ended = self.step()
-            if ended.size:
-                if not waiting:
-                    oldest = iteration
-                waiting += ended.size
-                self.active[ended] = False
-            if waiting and (2 * waiting >= self.ids.size or iteration - oldest >= _WAIT):
-                idx = (~self.active).nonzero()[0]
+            self.active[self.step()] = False
+            idx = (~self.active).nonzero()[0]
+            if 2 * idx.size >= self.ids.size:
                 self.active[idx] = True
-                waiting = 0
                 self._settle(idx)
                 self._compact()
         return self

@@ -85,17 +85,10 @@ class Pmf:
         object.__setattr__(self, "probs", arr)
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "Pmf":
-        # Private: validate and freeze a fresh array that no one else holds,
-        # without a second copy.  Only ``read_pmf`` takes this path.
-        _validate(arr)
-        return cls._unchecked(arr)
-
-    @classmethod
     def _unchecked(cls, arr: np.ndarray) -> "Pmf":
-        # Private: freeze a fresh array without validating it.  Besides
-        # ``_adopt``, only the all-zero conditionals of empty residue
-        # classes take this path.
+        # Private: freeze a fresh array that no one else holds, without a copy
+        # or a check.  Only ``_finalize``, which validates first, and the
+        # all-zero conditionals of empty residue classes take this path.
         self = object.__new__(cls)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
@@ -150,10 +143,7 @@ def _finalize(raw: np.ndarray, context: str) -> Pmf:
         logger.debug("renormalizing %s output, drift %.3e", context, drift)
         raw, total = raw / total, None
     _validate(raw, total)
-    raw.flags.writeable = False
-    out = object.__new__(Pmf)
-    object.__setattr__(out, "probs", raw)
-    return out
+    return Pmf._unchecked(raw)
 
 
 def entropy(p: PmfLike) -> float:
@@ -342,4 +332,4 @@ def read_pmf(source) -> Pmf:
             raise ValidationError(f"line {lineno}: cannot parse {line!r} as a mass") from exc
     if not values:
         raise ValidationError("no mass values found")
-    return Pmf._adopt(np.array(values))
+    return Pmf(values)

@@ -730,6 +730,19 @@ class TestPinnedOutput:
         np.testing.assert_array_equal(run.blocks, blocks[live])
 
 
+def settle_each_iteration(run):
+    """Reference ``_Lockstep.run``: every row whose block ends settles in the
+    iteration in which it ended, without waiting for other rows."""
+    run._settle(run.enter(run.ids))
+    run._compact()
+    while run.ids.size:
+        ended = run.step()
+        if ended.size:
+            run._settle(ended)
+            run._compact()
+    return run
+
+
 class TestDeferredBlockEnds:
     @pytest.mark.parametrize("n, r, ell, seed", [
         pytest.param(2, 4, None, 1, id="2-4"),
@@ -748,7 +761,7 @@ class TestDeferredBlockEnds:
         deferred = json.dumps(_run_cell(n, r, ell, 32, seed).as_dict(), sort_keys=True)
         deferred_settles = len(settles)
         settles.clear()
-        monkeypatch.setattr(optimize, "_WAIT", 0)  # every ended row settles in its iteration
+        monkeypatch.setattr(optimize._Lockstep, "run", settle_each_iteration)
         assert json.dumps(_run_cell(n, r, ell, 32, seed).as_dict(), sort_keys=True) == deferred
         assert len(settles) > deferred_settles
 
