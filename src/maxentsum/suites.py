@@ -21,7 +21,6 @@ from .pmf import Pmf, _entropy_bits, convolve, mixture, residue_decompose
 from .ulc import (
     STRICTNESS,
     certificate_sides,
-    first_failures,
     identity_sides,
     margin_verdicts,
     random_ulc_sequences,
@@ -128,16 +127,10 @@ def ulc_suite(n: int, r: int, trials: int, seed: int = 0) -> SuiteReport:
         for j, (order, weighted, cond) in enumerate(residue_classes(sums, r, n)):
             if cond is None:
                 continue
-            margins = ulc_order_margins(cond, order)
-            least, passes = margin_verdicts(margins, cond)
+            least, passes, witness = margin_verdicts(ulc_order_margins(cond, order), cond)
             worst = min(worst, float(least[weighted].min(initial=math.inf)))
-            failing = weighted & ~passes
-            if not failing.any():
-                continue
-            witness = np.zeros(size, int)
-            witness[failing] = first_failures(margins[failing], cond[failing])
             violations += _witnesses(
-                ids, failing, residue=j, order=order, margin=least, witness=witness,
+                ids, weighted & ~passes, residue=j, order=order, margin=least, witness=witness,
                 inputs=blocks, conditional=cond,
             )
         return violations, {"min_margin": worst}
@@ -238,7 +231,7 @@ def preserve_suite(trials: int, seed: int = 0) -> SuiteReport:
             seqs = random_ulc_sequences(order, rows.size, rng)
             q = weights[rows]
             conv = conv_rows(seqs, np.stack([1.0 - q, q], axis=1))
-            least, passes = margin_verdicts(ulc_order_margins(conv, order + 1), conv)
+            least, passes, _ = margin_verdicts(ulc_order_margins(conv, order + 1), conv)
             worst = min(worst, float(least.min()))
             violations += _witnesses(
                 offset + rows, ~passes, order=order, bernoulli_weight=q, sequence=seqs,

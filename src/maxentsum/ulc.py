@@ -43,25 +43,9 @@ def _sequence(u, caller: str) -> np.ndarray:
     return arr
 
 
-def _slack(arr: np.ndarray) -> np.ndarray | float:
-    return SLACK_COEFF * arr.max(axis=-1) ** 2
-
-
 def _margins(arr: np.ndarray, a, b) -> np.ndarray:
     """a_i u_i^2 - b_i u_{i-1} u_{i+1} at each interior index i of each row."""
     return a * arr[..., 1:-1] ** 2 - b * arr[..., :-2] * arr[..., 2:]
-
-
-def log_concavity_margins(u) -> np.ndarray:
-    """u_i^2 - u_{i-1} u_{i+1} at each interior index (broadcasts over rows)."""
-    return _margins(_nonneg_array(u), 1.0, 1.0)
-
-
-def ulc_inf_margins(u) -> np.ndarray:
-    """i u_i^2 - (i+1) u_{i-1} u_{i+1} at each interior index."""
-    arr = _nonneg_array(u)
-    i = np.arange(1, arr.shape[-1] - 1, dtype=float)
-    return _margins(arr, i, i + 1)
 
 
 def ulc_order_margins(u, order: int) -> np.ndarray:
@@ -81,37 +65,40 @@ def ulc_order_margins(u, order: int) -> np.ndarray:
     return _margins(arr, i * (order - i), (i + 1) * (order - i + 1))
 
 
-def margin_verdicts(margins: np.ndarray, seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's least margin and whether the row passes.
+def margin_verdicts(
+    margins: np.ndarray, seqs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's least margin, whether the row passes, and its witness.
 
-    A row passes when its least margin is >= -SLACK_COEFF * max(row)^2.  Rows
-    with no interior index pass, with least margin +inf.
+    A row passes when its least margin is >= -SLACK_COEFF * max(row)^2.  The
+    witness is the index into the sequence of the row's first interior
+    inequality that fails, or 0 where the row passes; only failing rows pay
+    for it.  Rows with no interior index pass, with least margin +inf.
     """
     if margins.shape[-1] == 0:
         least = np.full(margins.shape[:-1], math.inf)
-        return least, np.ones(least.shape, bool)
+        return least, np.ones(least.shape, bool), np.zeros(least.shape, int)
     least = margins.min(axis=-1)
-    return least, least >= -_slack(seqs)
-
-
-def first_failures(margins: np.ndarray, seqs: np.ndarray) -> np.ndarray:
-    """The index into each sequence of its first interior inequality that fails.
-
-    Only meant for rows that fail :func:`margin_verdicts`.
-    """
-    return np.argmax(margins < -_slack(seqs)[..., None], axis=-1) + 1
+    slack = SLACK_COEFF * seqs.max(axis=-1) ** 2
+    passes = least >= -slack
+    witness = np.zeros(passes.shape, int)
+    if not passes.all():
+        below = margins[~passes] < -slack[~passes][:, None]
+        witness[~passes] = np.argmax(below, axis=-1) + 1
+    return least, passes, witness
 
 
 def is_log_concave(u) -> bool:
     """Literal check of u_i^2 >= u_{i-1} u_{i+1}, zeros included."""
     arr = _sequence(u, "is_log_concave")
-    return bool(margin_verdicts(log_concavity_margins(arr), arr)[1])
+    return bool(margin_verdicts(_margins(arr, 1.0, 1.0), arr)[1])
 
 
 def is_ulc_infinite(u) -> bool:
     """True iff (u_i * i!) is log-concave, i.e. i u_i^2 >= (i+1) u_{i-1} u_{i+1}."""
     arr = _sequence(u, "is_ulc_infinite")
-    return bool(margin_verdicts(ulc_inf_margins(arr), arr)[1])
+    i = np.arange(1, len(arr) - 1, dtype=float)
+    return bool(margin_verdicts(_margins(arr, i, i + 1), arr)[1])
 
 
 def is_ulc_order(u, order: int) -> bool:
@@ -204,9 +191,8 @@ def conditional_ulc_report(inputs, r: int) -> UlcReport:
             per.append(UlcClassReport(j, order, True, None, None))
             continue
         u = cond[0]
-        margins = ulc_order_margins(u, order)
-        least, passed = margin_verdicts(margins, u)
-        witness = None if passed else int(first_failures(margins, u))
+        least, passed, witness = margin_verdicts(ulc_order_margins(u, order), u)
+        witness = None if passed else int(witness)
         per.append(UlcClassReport(j, order, bool(passed), witness, float(least)))
     return UlcReport(r=int(r), per_class=tuple(per))
 

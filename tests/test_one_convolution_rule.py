@@ -25,6 +25,9 @@ library, so no setting can change how jobs are scheduled.
 The optimizer extrapolates by one rule: ``optimize._along`` builds the
 candidates of both its extrapolations, so ``np.exp2`` stays there and in the
 grid oracle's Blahut-Arimoto step.
+
+Every ULC verdict passes by one tolerance: ``SLACK_COEFF`` is read only in
+``ulc.margin_verdicts``, which also names each failing row's witness.
 """
 
 import ast
@@ -199,6 +202,20 @@ def test_the_import_guard_sees_every_spelling():
     assert [imported_modules(ast.parse(line).body[0])[0].split(".")[0] for line in imports] == [
         "threading", "concurrent", "multiprocessing", "threading"]
     assert imported_modules(ast.parse("from .threading import x").body[0]) == []
+
+
+def reads_slack_coeff(node) -> bool:
+    """``SLACK_COEFF`` or ``<module>.SLACK_COEFF`` read, not assigned."""
+    return (isinstance(node, ast.Name) and node.id == "SLACK_COEFF"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "SLACK_COEFF")
+
+
+def test_the_ulc_tolerance_is_read_in_one_place():
+    assert callers(reads_slack_coeff) == [("ulc.py", "margin_verdicts")]
+    reads = ["SLACK_COEFF * m", "ulc.SLACK_COEFF", "SLACK_COEFF = 1e-12"]
+    assert [any(map(reads_slack_coeff, ast.walk(ast.parse(line)))) for line in reads] == [
+        True, True, False]
 
 
 def test_the_sum_guard_sees_every_spelling():

@@ -27,7 +27,7 @@ from maxentsum import (
     ternary_sum_masses,
     ulc_suite,
 )
-from maxentsum.ulc import residue_classes, ulc_order_margins
+from maxentsum.ulc import margin_verdicts, residue_classes, ulc_order_margins
 
 
 def binomial_masses(n, p=0.5):
@@ -200,16 +200,20 @@ class TestConditionalUlcReport:
         }
 
     def test_reproduces_a_violation_the_suite_records(self):
-        # Three summands on {0, ..., 3} do break conditional ULC; the report on a
-        # recorded instance fails the same class at the same index.
-        record = ulc_suite(3, 3, trials=2000, seed=1).violations[0]
-        report = conditional_ulc_report(record["inputs"], 3)
-        failed = report.per_class[record["residue"]]
-        assert not report.all_pass and not failed.passed
-        assert failed.witness == record["witness"]
-        assert failed.margin == pytest.approx(record["margin"], rel=1e-9)
-        payload = json.loads(json.dumps(report.as_dict()))
-        assert payload["per_class"][record["residue"]]["witness"] == record["witness"]
+        # Three or four summands on {0, ..., 3} or {0, ..., 4} do break
+        # conditional ULC; the report on each recorded instance fails the same
+        # class at the same order and index, with the very same margin.
+        for n, r, count in [(3, 3, 41), (4, 3, 26), (3, 4, 55)]:
+            violations = ulc_suite(n, r, trials=2000, seed=1).violations
+            assert len(violations) == count
+            for record in violations:
+                report = conditional_ulc_report(record["inputs"], r)
+                failed = report.per_class[record["residue"]]
+                assert not report.all_pass and not failed.passed
+                assert (failed.order, failed.witness) == (record["order"], record["witness"])
+                assert failed.margin == record["margin"]
+                payload = json.loads(json.dumps(report.as_dict()))
+                assert payload["per_class"][record["residue"]]["witness"] == record["witness"]
 
     @pytest.mark.parametrize("n, r", [(2, 2), (3, 5), (6, 1), (7, 1), (12, 2), (8, 3)])
     def test_residue_classes_bytes_do_not_depend_on_layout(self, n, r):
@@ -240,6 +244,38 @@ class TestConditionalUlcReport:
             lhs = s[r] ** 2 - 4 * s[0] * s[2 * r]
             edge = (p1[0] * p2[r] - p1[r] * p2[0]) ** 2
             assert lhs >= edge - 1e-12 * s.max() ** 2
+
+
+class TestMarginVerdicts:
+    def test_rows_without_interior_index_pass(self):
+        least, passes, witness = margin_verdicts(np.empty((4, 0)), np.ones((4, 2)))
+        assert least.tolist() == [math.inf] * 4
+        assert passes.tolist() == [True] * 4
+        assert witness.shape == (4,) and witness.tolist() == [0] * 4
+
+    def test_witness_is_the_first_index_past_the_tolerance(self):
+        # Slack is 1e-12 on rows of ones: -1e-13 lies inside it, -0.1 outside.
+        margins = np.array([
+            [0.1, 0.0, -1e-13],
+            [-0.5, 0.2, -0.1],
+            [0.1, -1e-13, -0.3],
+        ])
+        least, passes, witness = margin_verdicts(margins, np.ones((3, 5)))
+        assert least.tolist() == [-1e-13, -0.5, -0.3]
+        assert passes.tolist() == [True, False, False]
+        assert witness.tolist() == [0, 1, 3]
+
+    @pytest.mark.parametrize("u, least, passes, witness", [
+        ([0.1, 0.5, 0.1, 0.3], -0.88, False, 2),  # margins [0.44, -0.88] at order 3
+        ([0.125, 0.375, 0.375, 0.125], 0.0, True, 0),  # Binomial(3, 1/2) sits on equality
+        ([0.5, 0.5], math.inf, True, 0),  # no interior index
+    ])
+    def test_one_sequence_gives_zero_dimensional_results(self, u, least, passes, witness):
+        u = np.array(u)
+        got = margin_verdicts(ulc_order_margins(u, 3), u)
+        assert [np.ndim(part) for part in got] == [0, 0, 0]
+        assert float(got[0]) == pytest.approx(least, abs=1e-15)
+        assert (bool(got[1]), int(got[2])) == (passes, witness)
 
 
 class TestTernaryTriple:
