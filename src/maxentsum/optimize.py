@@ -628,11 +628,13 @@ def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
     H(X * t) is concave in the tail t, X a head's sum law, so at any y > 0 the
     value plus the gap of :func:`block_rows` bounds it over every tail.  Chunks
     of heads step from uniform y by Blahut-Arimoto (``_Lockstep.step`` at
-    ``_ETA_BA``).  The incumbent is the best over all tails of each head whose
-    value is the best yet, a real grid tuple's entropy; a head whose bound
-    falls more than 1e-12 bits under it is dropped.  A chunk steps while it
-    has heads undecided and its steps have read fewer elements than the
-    evaluation of those heads would.
+    ``_ETA_BA``).  The incumbent, a real grid tuple's entropy, starts as the
+    best over all tails of the construction's head, n - 1 blocks
+    (ceil(K/2), 0, ..., 0, floor(K/2)) / K, uniform on {0, r} at even K.  It
+    rises to the best over all tails of a chunk's best head only when that
+    head's value beats it.  A head whose bound falls more than 1e-12 bits
+    under it is dropped.  A chunk steps while it has heads undecided and its
+    steps have read fewer elements than the evaluation of those heads would.
     """
     grid_size, m = counts.shape
     grid = counts / resolution
@@ -646,7 +648,14 @@ def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
     last = heads[:, -1]
     width = n * (m - 1) + 1
     bound = np.full(len(heads), math.inf)
-    best, lead = -math.inf, -math.inf
+
+    def incumbent(toeplitz):
+        sums = np.einsum("sa,ga->gs", toeplitz, grid)
+        return entropy_rows(sums, log2_rows(sums)).max()
+
+    half = resolution // 2
+    seed = np.argmax((counts[:, 0] == resolution - half) & (counts[:, -1] == half))
+    best = incumbent(toeplitz_rows(fold_rows(grid[[seed] * (n - 1)][None]), m)[0])
     # With block_rows's temporaries a head's bound takes about 4 Toeplitz matrices.
     rows = max(1, _ORACLE_CHUNK // (4 * width * m))
     for a in range(0, len(heads), rows):
@@ -659,11 +668,9 @@ def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
             # X's positive masses are at least K^(1-n): no mass of X * y is clamped.
             exact = y.min(axis=1) > ZERO_FLOOR * resolution**n
             bound[live] = np.minimum(bound[live], np.where(exact, value + gap, math.inf))
-            if value.max() > lead:
-                lead = value.max()
-                # Coordinate-major, so the log and the sum run along the grid.
-                sums = (toeplitz[value.argmax()] @ grid.T).T
-                best = max(best, entropy_rows(sums, log2_rows(sums)).max())
+            top = value.argmax()
+            if value[top] > best:
+                best = max(best, incumbent(toeplitz[top]))
             cut = best - 1e-12
             undecided = (bound[live] >= cut) & (value < cut)
             spent += toeplitz.size

@@ -102,6 +102,9 @@ def test_criterion_04_two_summand_equality():
     # for r in {2, 3}; beyond that the oracle must refuse with the budget.
     for r in (2, 3):
         assert grid_oracle(2, r, 24) <= closed_form_special(2, r) + 1e-12
+    # Coarser grids keep r in {4, 5} within the budget.
+    for r, k in ((4, 16), (5, 10)):
+        assert grid_oracle(2, r, k) <= closed_form_special(2, r) + 1e-12
     for r in (4, 5):
         with pytest.raises(BudgetExceededError, match="budget"):
             grid_oracle(2, r, 24)

@@ -15,9 +15,10 @@ same on every CPU, and the optimizer's, whose bits numpy's SIMD ``exp`` and
 another core.
 
 The optimizer's Toeplitz products go through one rule instead: ``np.einsum``
-in ``kernels.block_rows`` and in ``optimize._Lockstep``'s in-block ranking,
-called without ``optimize=``, since an optimized contraction may be handed
-to BLAS.
+in ``kernels.block_rows``, in ``optimize._Lockstep``'s in-block ranking and
+in the grid oracle's incumbent, called without ``optimize=``, since an
+optimized contraction may be handed to BLAS.  ``optimize.py`` keeps no BLAS
+product.
 
 Work runs on the calling thread: no module imports a thread or process
 library, so no setting can change how jobs are scheduled.
@@ -60,10 +61,6 @@ BLAS_CALLS = ("dot", "matmul", "convolve")
 
 #: (module, top-level definition) of every place that may round by BLAS.
 BLAS_SITES = {
-    # The grid oracle's incumbent, a float product that only sets the bound
-    # pass's pruning cut 1e-12 bits under it: the oracle's bits do not depend
-    # on its last bit.
-    ("optimize.py", "_near_best_heads"),
     # The per-object Pmf API, faster per call than the kernels.
     ("pmf.py", "_entropy_bits"),
     ("pmf.py", "convolve"),
@@ -87,9 +84,12 @@ SUITE_SUMS = [
 OPTIMIZE_EXP2_SITES = [("optimize.py", "_along"), ("optimize.py", "_near_best_heads")]
 
 #: (module, top-level definition) of every ``np.einsum`` call in ``kernels.py``
-#: and ``optimize.py``: a block's sum law, gradient and curvature, and the sum
-#: laws of the candidates an in-block ranking compares with them.
-EINSUM_SITES = {("kernels.py", "block_rows"), ("optimize.py", "_Lockstep")}
+#: and ``optimize.py``: a block's sum law, gradient and curvature, the sum
+#: laws of the candidates an in-block ranking compares with them, and the
+#: grid oracle's incumbent, the sum laws of one head with every grid tail.
+EINSUM_SITES = {
+    ("kernels.py", "block_rows"), ("optimize.py", "_Lockstep"), ("optimize.py", "_near_best_heads"),
+}
 
 
 def package_nodes():

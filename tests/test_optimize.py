@@ -829,7 +829,8 @@ def per_head_oracle(n, r, k):
 
 ORACLE_CELLS = [
     (1, 1, 2), (2, 1, 64), (2, 2, 3), (2, 2, 6), (2, 2, 12), (2, 2, 24), (2, 2, 48),
-    (2, 3, 24), (2, 4, 12), (3, 1, 8), (3, 2, 6), (3, 2, 12), (3, 3, 6), (4, 1, 10), (5, 1, 6),
+    (2, 3, 7), (2, 3, 24), (2, 4, 9), (2, 4, 12), (3, 1, 8), (3, 2, 6), (3, 2, 7), (3, 2, 12),
+    (3, 3, 6), (4, 1, 10), (5, 1, 6),
 ]
 
 
@@ -842,6 +843,21 @@ def exact_scores(n, r, k):
         sums = conv_rows(head_law(counts, head)[None, :], counts)
         scores.append((sums * np.log2(np.maximum(sums, 1.0))).sum(axis=1).min())
     return heads, np.array(scores)
+
+
+def bound_pass_incumbents(monkeypatch, n, r, k):
+    """Each incumbent the bound pass computes at (n, r, k), in order."""
+    incumbents = []
+
+    def spy(probs, logs):
+        out = kernels.entropy_rows(probs, logs)
+        incumbents.append(out.max())
+        return out
+
+    monkeypatch.setattr(optimize, "entropy_rows", spy)
+    optimize._near_best_heads(optimize._grid_counts(k, r), n, k)
+    monkeypatch.undo()
+    return incumbents
 
 
 class TestGridOracle:
@@ -907,6 +923,29 @@ class TestGridOracle:
             rows = [index[row.tobytes()] for row in np.rint(law)]
             assert (bound >= best[rows] - 1e-13).all()
 
+    @pytest.mark.parametrize("n,r,k", [(2, 4, 16), (2, 5, 10), (2, 3, 7), (2, 4, 9), (3, 2, 7),
+                                       (3, 2, 12), (3, 3, 10), (4, 2, 8), (2, 1, 64)])
+    def test_incumbent_starts_at_the_construction(self, monkeypatch, n, r, k):
+        # The bound pass's first incumbent is the best over all tails of the
+        # construction's head, n - 1 blocks (ceil(K/2), 0, ..., 0, floor(K/2)) / K,
+        # a real grid tuple's entropy: at most the oracle's value, up to float error.
+        first = bound_pass_incumbents(monkeypatch, n, r, k)[0]
+        counts = optimize._grid_counts(k, r)
+        block = np.zeros(r + 1)
+        block[0], block[-1] = k - k // 2, k // 2
+        head = [np.flatnonzero((counts == block).all(axis=1))[0]] * (n - 1)
+        grid = counts / k
+        seeded = entropy_max(conv_rows(head_law(grid, head)[None, :], grid))
+        assert first == pytest.approx(seeded, abs=1e-13)
+        assert first <= grid_oracle(n, r, k) + 1e-13
+
+    @pytest.mark.parametrize("n,r,k", [(2, 4, 16), (2, 5, 10)])
+    def test_incumbent_is_rebuilt_only_when_a_head_beats_it(self, monkeypatch, n, r, k):
+        # Recomputed at each rise of the best head value, the incumbent would
+        # take 154 and 71 products over all tails here; recomputed only when a
+        # head's value beats it, it takes a few.
+        assert 1 <= len(bound_pass_incumbents(monkeypatch, n, r, k)) <= 5
+
     def test_one_head_per_chunk(self, monkeypatch):
         # At (2, 2, 48) the bound pass steps its one-head chunks before it drops them.
         cells = [(2, 2, 24), (3, 2, 12), (4, 1, 10), (2, 2, 48)]
@@ -933,6 +972,9 @@ class TestGridOracle:
         ((2, 3, 24), 2.7715354233178195),
         ((3, 2, 12), 2.6585775391837685),
         ((1, 2, 1000), 1.584961058506293),
+        ((2, 4, 16), 3.1289280318460246),
+        ((2, 5, 10), 3.4219280948873623),
+        ((3, 3, 10), 3.1954618442383214),
     ])
     def test_frozen_values(self, cell, value):
         assert grid_oracle(*cell) == value
