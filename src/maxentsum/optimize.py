@@ -223,12 +223,16 @@ def _face_moves(p: np.ndarray, shift: np.ndarray, gap: np.ndarray):
     With ``c = g - g.p = shift + gap``, the move sets to 0 every mass below
     ``_DROP`` with ``c < 0`` and lifts to ``_LIFT`` every zero mass at the
     top (``shift = 0``); pinned masses have ``shift = -inf`` and stay 0.
+    When no row moves, ``p`` itself is returned, so read only moving rows.
     """
     drop = (p > 0.0) & (p < _DROP) & (shift + gap[:, None] < 0.0)
     lift = (p == 0.0) & (shift == 0.0)
+    moves = (drop | lift).any(axis=1)
+    if not moves.any():
+        return p, moves
     q = np.where(drop, 0.0, np.where(lift, _LIFT, p))
     q /= np.add.reduce(q, axis=1, keepdims=True)
-    return q, (drop | lift).any(axis=1)
+    return q, moves
 
 
 class _Lockstep:
@@ -329,7 +333,8 @@ class _Lockstep:
         total = np.add.reduce(q, axis=1, keepdims=True)
         np.divide(q, total, out=q, where=total > 0.0)  # every mass may underflow
         leap = self._leap(q)
-        value, _, shift, gap, newton = block_rows(self.toeplitz, q, self.block_neg[self.cur])
+        neg = self.block_neg.take(self.cur, axis=0)
+        value, _, shift, gap, newton = block_rows(self.toeplitz, q, neg)
         accepted = (value >= self.value) | ((self.eta[:, 0] <= _ETA_BA) & ~leap)
         accepted &= self.active & ((total[:, 0] > 0.0) | leap)
         column = accepted[:, None]
@@ -362,6 +367,8 @@ class _Lockstep:
         ``step`` then accepts it only if :func:`block_rows` finds H(S_n) not
         lower, and a winner, accepted or not, begins the row's history anew."""
         leap = np.zeros(q.shape[0], dtype=bool)
+        if self.streak.max() < _LEAP_FROM:
+            return leap
         rows = (self.active & (self.streak >= _LEAP_FROM) & (self.streak % 2 == 1)).nonzero()[0]
         if not rows.size:
             return leap
@@ -382,7 +389,7 @@ class _Lockstep:
         if not idx.size:
             return idx
         cur = self.cur[idx]
-        neg = self.block_neg[cur]
+        neg = self.block_neg.take(cur, axis=0)
         toeplitz, value, _, shift, gap, newton = _block_terms(self.blocks[idx], cur, neg)
         p = self.blocks[idx, cur]
         q, moves = _face_moves(p, shift, gap)
@@ -416,8 +423,9 @@ class _Lockstep:
         cur = cur + 1
         wrapped = cur == self.blocks.shape[1]
         self.cur[idx] = np.where(wrapped, 0, cur)
-        if wrapped.any():
-            self._end_sweeps(idx[wrapped])
+        if not wrapped.any():
+            return idx
+        self._end_sweeps(idx[wrapped])
         return idx[~self.done[idx]]
 
     def _end_sweeps(self, ends: np.ndarray) -> None:
@@ -485,9 +493,9 @@ class _Lockstep:
 
     def _compact(self) -> None:
         if self.done.any():
-            live = ~self.done
+            live = (~self.done).nonzero()[0]  # ``take`` copies faster than a mask
             for name in self._FIELDS:
-                setattr(self, name, getattr(self, name)[live])
+                setattr(self, name, getattr(self, name).take(live, axis=0))
 
 
 def _one_row(inputs, i: int, caller: str) -> np.ndarray:
@@ -534,11 +542,12 @@ def block_ascend(inputs, i: int, config: OptimizerConfig | None = None) -> Pmf:
 
 def _random_start(neg: np.ndarray, seed: int, start_id: int) -> np.ndarray:
     """Flat-Dirichlet masses on each block's free coordinates (``neg == 0``)
-    and exact zeros on its pinned ones."""
-    rng = seeded_rng(seed, start_id)
+    and exact zeros on its pinned ones: one exponential draw, scaled per block
+    by the reciprocal of its in-order sum, as ``Generator.dirichlet`` does."""
+    free = neg == 0.0
     blocks = np.zeros(neg.shape)
-    for block, free in zip(blocks, neg == 0.0):
-        block[free] = rng.dirichlet(np.ones(np.count_nonzero(free)))
+    blocks[free] = seeded_rng(seed, start_id).standard_exponential(np.count_nonzero(free))
+    blocks *= 1.0 / np.cumsum(blocks, axis=1)[:, -1:]
     return blocks
 
 

@@ -274,6 +274,34 @@ class TestMultistart:
             multistart_maximize(2.0, 3)
 
 
+def _dirichlet_start(neg, seed, start_id):
+    """Reference start: one ``Generator.dirichlet`` draw per block, on its free
+    coordinates, as the optimizer drew its starts before the one-draw rule."""
+    rng = kernels.seeded_rng(seed, start_id)
+    blocks = np.zeros(neg.shape)
+    for block, free in zip(blocks, neg == 0.0):
+        block[free] = rng.dirichlet(np.ones(np.count_nonzero(free)))
+    return blocks
+
+
+class TestRandomStart:
+    # One exponential draw per start, scaled per block by the reciprocal of its
+    # in-order sum, is how numpy computes flat Dirichlet weights.  A numpy whose
+    # ``dirichlet`` computes them otherwise fails here, not as moved digests.
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("r", [1, 4, 12])
+    def test_one_draw_has_the_bytes_of_blockwise_dirichlet(self, n, r):
+        masks = [np.zeros((n, r + 1))]
+        for ell in range(1, n + 1):  # every mask of restricted_maximize
+            neg = np.zeros((n, r + 1))
+            neg[ell:, 1:r] = -math.inf
+            masks.append(neg)
+        for neg, seed, sid in itertools.product(masks, (0, 1, 797609830), (0, 1, 31)):
+            drawn = optimize._random_start(neg, seed, sid)
+            assert drawn.tobytes() == _dirichlet_start(neg, seed, sid).tobytes()
+            assert (drawn[neg < 0.0] == 0.0).all()
+
+
 class TestConvergenceFlag:
     def test_spent_inner_budget_is_not_converged(self, monkeypatch):
         monkeypatch.setattr(optimize, "_MAX_INNER", 2)
@@ -643,6 +671,66 @@ class TestInBlockExtrapolation:
         monkeypatch.setattr(optimize, "block_rows", block_rows)
         result = multistart_maximize(3, 3, OptimizerConfig(starts=8, seed=1))
         assert checked and all(rec.converged for rec in result.per_start)
+
+
+class TestEarlyExits:
+    def test_ranking_and_entry_move_act_only_when_a_row_can(self, monkeypatch):
+        # The in-block ranking returns before its gate when no row's history is
+        # long enough, and the entry move builds nothing when no mass moves.
+        cfg = OptimizerConfig(starts=32, seed=401)
+        reference = multistart_maximize(3, 4, cfg).as_dict()
+        original_leap, original_enter = optimize._Lockstep._leap, optimize._Lockstep.enter
+        original_along, original_moves = optimize._along, optimize._face_moves
+        original_block_rows = optimize.block_rows
+        calls, seen = [], {"exits": 0, "ranked": 0, "still": 0, "moved": 0}
+
+        def along(y, d):
+            calls.append("along")
+            return original_along(y, d)
+
+        def face_moves(p, shift, gap):
+            q, moves = original_moves(p, shift, gap)
+            calls.append("moves" if moves.any() else "still")
+            if not moves.any():
+                assert q is p  # no move is built
+            return q, moves
+
+        def block_rows(toeplitz, p, neg):
+            calls.append("block_rows")
+            return original_block_rows(toeplitz, p, neg)
+
+        def leap(run, q):
+            calls.clear()
+            ranks = (run.active & (run.streak >= optimize._LEAP_FROM) & (run.streak % 2 == 1)).any()
+            if run.streak.max() < optimize._LEAP_FROM:
+                active, run.active = run.active, None  # the gate would read it
+                try:
+                    won = original_leap(run, q)
+                finally:
+                    run.active = active
+                assert not won.any()
+                seen["exits"] += 1
+            else:
+                won = original_leap(run, q)
+            assert ("along" in calls) == ranks
+            seen["ranked"] += ranks
+            return won
+
+        def enter(run, idx):
+            calls.clear()
+            stationary = original_enter(run, idx)
+            if idx.size:
+                assert calls.count("block_rows") == 1 + ("moves" in calls)
+                seen["moved" if "moves" in calls else "still"] += 1
+            return stationary
+
+        monkeypatch.setattr(optimize, "_along", along)
+        monkeypatch.setattr(optimize, "_face_moves", face_moves)
+        monkeypatch.setattr(optimize, "block_rows", block_rows)
+        monkeypatch.setattr(optimize._Lockstep, "_leap", leap)
+        monkeypatch.setattr(optimize._Lockstep, "enter", enter)
+        assert multistart_maximize(3, 4, cfg).as_dict() == reference
+        assert all(seen.values()), seen
 
 
 class TestLockstepDeterminism:
