@@ -1063,6 +1063,12 @@ class TestGridOracle:
         ((2, 4, 16), 3.1289280318460246),
         ((2, 5, 10), 3.4219280948873623),
         ((3, 3, 10), 3.1954618442383214),
+        ((2, 4, 18), float.fromhex("0x1.922015dafc881p+1")),
+        ((2, 5, 12), float.fromhex("0x1.b58ab7c7a895fp+1")),
+        ((4, 2, 8), float.fromhex("0x1.75e1f89fb12bap+1")),
+        ((2, 4, 9), float.fromhex("0x1.8fbc329fc660bp+1")),
+        ((3, 2, 7), float.fromhex("0x1.53b3af3833e17p+1")),
+        ((2, 3, 7), float.fromhex("0x1.5f7208b4a91efp+1")),
     ])
     def test_frozen_values(self, cell, value):
         assert grid_oracle(*cell) == value
