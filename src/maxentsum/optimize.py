@@ -58,6 +58,7 @@ from .errors import BudgetExceededError, DomainError, MaxentsumError, check_coun
 from .kernels import (
     ZERO_FLOOR,
     block_rows,
+    conv_rows,
     entropy_rows,
     fold_rows,
     log2_rows,
@@ -630,89 +631,41 @@ def _grid_counts(resolution: int, r: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1.0, append=float(slots)) - 1.0
 
 
-def _near_best_heads(counts: np.ndarray, n: int, resolution: int) -> np.ndarray:
-    """The sorted heads (first n - 1 indices) that may hold the grid maximum,
-    in order of their last index.
-
-    H(X * t) is concave in the tail t, X a head's sum law, so at any y > 0 the
-    value plus the gap of :func:`block_rows` bounds it over every tail.  Chunks
-    of heads step from uniform y by Blahut-Arimoto (``_Lockstep.step`` at
-    ``_ETA_BA``).  The incumbent, a real grid tuple's entropy, starts as the
-    best over all tails of the construction's head, n - 1 blocks
-    (ceil(K/2), 0, ..., 0, floor(K/2)) / K, uniform on {0, r} at even K.  It
-    rises to the best over all tails of a chunk's best head only when that
-    head's value beats it.  A head whose bound falls more than 1e-12 bits
-    under it is dropped.  A chunk steps while it has heads undecided and its
-    steps have read fewer elements than the evaluation of those heads would.
-    """
-    grid_size, m = counts.shape
-    grid = counts / resolution
-    heads = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(range(grid_size), n - 1)
-        ),
-        dtype=np.intp,
-    ).reshape(-1, n - 1)
-    heads = heads[np.argsort(heads[:, -1], kind="stable")]
-    last = heads[:, -1]
-    width = n * (m - 1) + 1
-    bound = np.full(len(heads), math.inf)
-
-    def incumbent(toeplitz):
-        sums = np.einsum("sa,ga->gs", toeplitz, grid)
-        return entropy_rows(sums, log2_rows(sums)).max()
-
-    half = resolution // 2
-    seed = np.argmax((counts[:, 0] == resolution - half) & (counts[:, -1] == half))
-    best = incumbent(toeplitz_rows(fold_rows(grid[[seed] * (n - 1)][None]), m)[0])
-    # With block_rows's temporaries a head's bound takes about 4 Toeplitz matrices.
-    rows = max(1, _ORACLE_CHUNK // (4 * width * m))
-    for a in range(0, len(heads), rows):
-        live = np.arange(a, min(a + rows, len(heads)))
-        toeplitz = toeplitz_rows(fold_rows(grid[heads[live]]), m)
-        y = np.full((live.size, m), 1.0 / m)
-        spent = 0
-        while live.size:
-            value, _, shift, gap, _ = block_rows(toeplitz, y, np.zeros(y.shape))
-            # X's positive masses are at least K^(1-n): no mass of X * y is clamped.
-            exact = y.min(axis=1) > ZERO_FLOOR * resolution**n
-            bound[live] = np.minimum(bound[live], np.where(exact, value + gap, math.inf))
-            top = value.argmax()
-            if value[top] > best:
-                best = max(best, incumbent(toeplitz[top]))
-            cut = best - 1e-12
-            undecided = (bound[live] >= cut) & (value < cut)
-            spent += toeplitz.size
-            if ((grid_size - last[live[undecided]]) * width).sum() <= spent:
-                break
-            live, toeplitz, shift, y = (t[undecided] for t in (live, toeplitz, shift, y))
-            y *= np.exp2(shift)
-            y /= np.add.reduce(y, axis=1, keepdims=True)
-    return heads[bound >= cut]
-
-
 def grid_oracle(n: int, r: int, resolution: int) -> float:
     """Exhaustive maximum of H(S_n) over rational grid pmfs (masses = k/K).
 
     Always a lower estimate of the true maximum, and nondecreasing along
     refinements K -> c*K (whose grids are nested).  The objective is
-    permutation symmetric, so only sorted index tuples are scored.  For
-    n >= 2 a bound pass (:func:`_near_best_heads`) keeps the heads (the first
-    n - 1 indices) whose upper bound reaches within 1e-12 bits of a grid
-    tuple's entropy; only those heads are evaluated in floating point, each
-    against the tails from its last index on, and the result is the largest
-    of those values.  Raises :class:`BudgetExceededError`, before it
-    allocates the grid, when the ordered tuple count C(K+r, r)^n would exceed
-    ``GRID_BUDGET`` or the grid's C(K+r, r) * (r + 1) masses would exceed
-    ``GRID_ELEMENTS``.
+    permutation symmetric, so only sorted index tuples are scored.
+
+    For n >= 2 one pass walks the heads (the first n - 1 indices) in chunks,
+    in order of their last index.  H(X * t) is concave in the tail t, X a
+    head's sum law, so at any y > 0 the value plus the gap of
+    :func:`block_rows` bounds it over every tail.  A chunk folds its heads'
+    sum laws once and steps from uniform y by Blahut-Arimoto
+    (``_Lockstep.step`` at ``_ETA_BA``).  The incumbent, a real grid tuple's
+    entropy, starts as the best over all tails of the construction's head,
+    n - 1 blocks (ceil(K/2), 0, ..., 0, floor(K/2)) / K, uniform on {0, r} at
+    even K.  It rises to the best over all tails of a chunk's best head only
+    when that head's value beats it.  A head whose bound falls more than
+    1e-12 bits under it is dropped.  A chunk steps while it has heads
+    undecided and its steps have read fewer elements than the evaluation of
+    those heads would.  Then it scores the heads it keeps against the tails
+    from their last index on, each head's folded law convolved with each tail
+    (the fold is a left fold: the bytes of folding the whole tuple), and the
+    result is the largest of those values.
+
+    Raises :class:`BudgetExceededError`, before it allocates the grid, when
+    the ordered tuple count C(K+r, r)^n would exceed ``GRID_BUDGET`` or the
+    grid's C(K+r, r) * (r + 1) masses would exceed ``GRID_ELEMENTS``.
     """
     _check_nr(n, r)
     check_count("resolution", resolution, 1)
     grid_size = math.comb(resolution + r, r)
-    total = grid_size**n
-    if total > GRID_BUDGET:
+    # Every grid has at least 2 pmfs, and 2^27 > GRID_BUDGET: no larger power is built.
+    if grid_size ** min(n, GRID_BUDGET.bit_length()) > GRID_BUDGET:
         raise BudgetExceededError(
-            f"grid oracle at K = {resolution} spans {grid_size}^{n} = {total} ordered "
+            f"grid oracle at K = {resolution} spans {grid_size}^{n} ordered "
             f"grid tuples, over the budget of {GRID_BUDGET}"
         )
     if grid_size * (r + 1) > GRID_ELEMENTS:
@@ -724,18 +677,57 @@ def grid_oracle(n: int, r: int, resolution: int) -> float:
     grid = counts / resolution
     if n == 1:
         return float(entropy_rows(grid, log2_rows(grid)).max())
-    # Float values lie within about 1e-14 bits of the exact entropies, far
-    # inside the bound pass's 1e-12-bit margin, so the head that holds the
-    # float maximum over all heads survives, and the result is that maximum.
-    heads = _near_best_heads(counts, n, resolution)
+    m = r + 1
+
+    def score(laws, tails):
+        # Coordinate-major operands, as fold_rows passes them: column slices are contiguous.
+        sums = conv_rows(np.asfortranarray(laws), np.asfortranarray(tails))
+        return float(entropy_rows(sums, log2_rows(sums)).max())
+
+    heads = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(grid_size), n - 1)
+        ),
+        dtype=np.intp,
+    ).reshape(-1, n - 1)
+    heads = heads[np.argsort(heads[:, -1], kind="stable")]
     width = n * r + 1
-    best = -math.inf
-    a = 0
-    while a < len(heads):
-        tails = np.arange(heads[a, -1], grid_size)
-        b = a + max(1, _ORACLE_CHUNK // (tails.size * width))
-        head, tail = np.nonzero(tails >= heads[a:b, -1:])
-        sums = fold_rows(grid[np.column_stack((heads[a:b][head], tails[tail]))])
-        best = max(best, float(entropy_rows(sums, log2_rows(sums)).max()))
-        a = b
-    return best
+    half = resolution // 2
+    seed = np.argmax((counts[:, 0] == resolution - half) & (counts[:, -1] == half))
+    best = score(fold_rows(grid[[seed] * (n - 1)][None]), grid)
+    # Float values lie within about 1e-14 bits of the exact entropies, far
+    # inside the 1e-12-bit margin, so the head that holds the float maximum
+    # over all heads is kept, and the result is that maximum.
+    result = -math.inf
+    # With block_rows's temporaries a head's bound takes about 4 Toeplitz matrices.
+    rows = max(1, _ORACLE_CHUNK // (4 * width * m))
+    pairs = max(1, _ORACLE_CHUNK // width)
+    for a in range(0, len(heads), rows):
+        last = heads[a : a + rows, -1]
+        laws = fold_rows(grid[heads[a : a + rows]])
+        toeplitz = toeplitz_rows(laws, m)
+        bound = np.full(last.size, math.inf)
+        live = np.arange(last.size)
+        y = np.full((live.size, m), 1.0 / m)
+        spent = 0
+        while live.size:
+            value, _, shift, gap, _ = block_rows(toeplitz, y, np.zeros(y.shape))
+            # X's positive masses are at least K^(1-n): no mass of X * y is clamped.
+            exact = y.min(axis=1) > ZERO_FLOOR * resolution**n
+            bound[live] = np.minimum(bound[live], np.where(exact, value + gap, math.inf))
+            top = value.argmax()
+            if value[top] > best:
+                best = max(best, score(laws[live[top : top + 1]], grid))
+            cut = best - 1e-12
+            undecided = (bound[live] >= cut) & (value < cut)
+            spent += toeplitz.size
+            if ((grid_size - last[live[undecided]]) * width).sum() <= spent:
+                break
+            live, toeplitz, shift, y = (t[undecided] for t in (live, toeplitz, shift, y))
+            y *= np.exp2(shift)
+            y /= np.add.reduce(y, axis=1, keepdims=True)
+        keep = np.flatnonzero(bound >= cut)
+        head, tail = np.nonzero(np.arange(grid_size) >= last[keep, None])
+        for b in range(0, head.size, pairs):
+            result = max(result, score(laws[keep[head[b : b + pairs]]], grid[tail[b : b + pairs]]))
+    return result

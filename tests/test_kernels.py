@@ -77,6 +77,12 @@ def test_conv_rows_adds_in_ascending_order(rng, rows_a, na, rows_b, nb):
             expected = ascending_reference(blocks[t, 0], blocks[t, 1])
             expected = ascending_reference(expected, blocks[t, 2])
             assert folded[t].tobytes() == expected.tobytes()
+        # The fold is a left fold: a head's law convolved with a tail has the
+        # bytes of the whole tuple's fold, also one law row against many tails.
+        head = fold_rows(blocks[:, :-1])
+        assert conv_rows(head, blocks[:, -1]).tobytes() == folded.tobytes()
+        shared = np.concatenate([np.repeat(blocks[:1, :-1], 5, axis=0), blocks[:, -1:]], axis=1)
+        assert conv_rows(head[:1], blocks[:, -1]).tobytes() == fold_rows(shared).tobytes()
 
 
 def test_fold_rows(rng):

@@ -15,17 +15,17 @@ same on every CPU, and the optimizer's, whose bits numpy's SIMD ``exp`` and
 another core.
 
 The optimizer's Toeplitz products go through one rule instead: ``np.einsum``
-in ``kernels.block_rows``, in ``optimize._Lockstep``'s in-block ranking and
-in the grid oracle's incumbent, called without ``optimize=``, since an
-optimized contraction may be handed to BLAS.  ``optimize.py`` keeps no BLAS
-product.
+in ``kernels.block_rows`` and in ``optimize._Lockstep``'s in-block ranking,
+called without ``optimize=``, since an optimized contraction may be handed to
+BLAS.  ``optimize.py`` keeps no BLAS product, and the grid oracle scores its
+incumbent and its kept tuples by ``conv_rows``.
 
 Work runs on the calling thread: no module imports a thread or process
 library, so no setting can change how jobs are scheduled.
 
 The optimizer extrapolates by one rule: ``optimize._along`` builds the
 candidates of both its extrapolations, so ``np.exp2`` stays there and in the
-grid oracle's Blahut-Arimoto step.
+Blahut-Arimoto step of ``grid_oracle``.
 
 Every ULC verdict passes by one tolerance: ``SLACK_COEFF`` is read only in
 ``ulc.margin_verdicts``, which also names each failing row's witness.
@@ -80,16 +80,15 @@ SUITE_SUMS = [
 
 #: (module, top-level definition) of every ``np.exp2`` call in ``optimize.py``:
 #: the candidate builder of the in-block and the sweep-end extrapolation, and
-#: the bound pass's Blahut-Arimoto step.  A second builder would fork the rule.
-OPTIMIZE_EXP2_SITES = [("optimize.py", "_along"), ("optimize.py", "_near_best_heads")]
+#: the Blahut-Arimoto step of the grid oracle's bound pass.  A second builder
+#: would fork the rule.
+OPTIMIZE_EXP2_SITES = [("optimize.py", "_along"), ("optimize.py", "grid_oracle")]
 
 #: (module, top-level definition) of every ``np.einsum`` call in ``kernels.py``
-#: and ``optimize.py``: a block's sum law, gradient and curvature, the sum
-#: laws of the candidates an in-block ranking compares with them, and the
-#: grid oracle's incumbent, the sum laws of one head with every grid tail.
-EINSUM_SITES = {
-    ("kernels.py", "block_rows"), ("optimize.py", "_Lockstep"), ("optimize.py", "_near_best_heads"),
-}
+#: and ``optimize.py``: a block's sum law, gradient and curvature, and the sum
+#: laws of the candidates an in-block ranking compares with them.  The grid
+#: oracle scores tuples by ``conv_rows`` alone.
+EINSUM_SITES = {("kernels.py", "block_rows"), ("optimize.py", "_Lockstep")}
 
 
 def package_nodes():

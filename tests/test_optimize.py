@@ -933,19 +933,41 @@ def exact_scores(n, r, k):
     return heads, np.array(scores)
 
 
-def bound_pass_incumbents(monkeypatch, n, r, k):
-    """Each incumbent the bound pass computes at (n, r, k), in order."""
-    incumbents = []
+def oracle_products(monkeypatch, n, r, k):
+    """What the grid oracle scores at (n, r, k): each incumbent, in order, and
+    the (head, tail) pairs of the heads it keeps, as the bytes of the head's
+    sum law and of the tail.
 
-    def spy(probs, logs):
-        out = kernels.entropy_rows(probs, logs)
-        incumbents.append(out.max())
-        return out
+    An incumbent is one head's law against all G tails; every other product
+    scores kept pairs, one a row, and never one law against all G tails (the
+    only head with last index 0 is the point mass at r (n - 1), always dropped).
+    """
+    size = len(optimize._grid_counts(k, r))
+    incumbents, pairs = [], []
 
-    monkeypatch.setattr(optimize, "entropy_rows", spy)
-    optimize._near_best_heads(optimize._grid_counts(k, r), n, k)
+    def spy(laws, tails):
+        sums = kernels.conv_rows(laws, tails)
+        if len(laws) == 1 and len(tails) == size:
+            incumbents.append(float(kernels.entropy_rows(sums, kernels.log2_rows(sums)).max()))
+        else:
+            pairs.extend((law.tobytes(), tail.tobytes()) for law, tail in zip(laws, tails))
+        return sums
+
+    monkeypatch.setattr(optimize, "conv_rows", spy)
+    grid_oracle(n, r, k)
     monkeypatch.undo()
-    return incumbents
+    return incumbents, pairs
+
+
+def kept_heads(monkeypatch, n, r, k):
+    """The sorted heads the grid oracle keeps at (n, r, k): those whose law
+    it scores against the tail at their last index."""
+    grid = optimize._grid_counts(k, r) / k
+    heads = sorted_heads(n, len(grid))
+    laws = kernels.fold_rows(grid[heads])
+    scored = set(oracle_products(monkeypatch, n, r, k)[1])
+    return {tuple(head) for head, law in zip(heads, laws)
+            if (law.tobytes(), grid[head[-1]].tobytes()) in scored}
 
 
 class TestGridOracle:
@@ -974,12 +996,12 @@ class TestGridOracle:
         assert grid_oracle(n, r, k) == per_head_oracle(n, r, k)
 
     @pytest.mark.parametrize("n,r,k", [cell for cell in ORACLE_CELLS if cell[0] > 1])
-    def test_bound_pass_keeps_the_unpruned_heads(self, n, r, k):
+    def test_bound_pass_keeps_the_unpruned_heads(self, monkeypatch, n, r, k):
         # Every head that attains the oracle's value survives, and every dropped
         # head's exact best over all tails lies under the 1e-12-bit cut, up to
         # the bound's float error.
         value = grid_oracle(n, r, k)
-        kept = {tuple(head) for head in optimize._near_best_heads(optimize._grid_counts(k, r), n, k)}
+        kept = kept_heads(monkeypatch, n, r, k)
         heads, values = head_values(n, r, k)
         best = {tuple(head) for head in heads[values == value]}
         assert best and best <= kept
@@ -1005,7 +1027,7 @@ class TestGridOracle:
             return out
 
         monkeypatch.setattr(optimize, "block_rows", spy)
-        optimize._near_best_heads(counts, n, k)
+        grid_oracle(n, r, k)
         assert len(seen) > 1
         for law, bound in seen:
             rows = [index[row.tobytes()] for row in np.rint(law)]
@@ -1017,7 +1039,7 @@ class TestGridOracle:
         # The bound pass's first incumbent is the best over all tails of the
         # construction's head, n - 1 blocks (ceil(K/2), 0, ..., 0, floor(K/2)) / K,
         # a real grid tuple's entropy: at most the oracle's value, up to float error.
-        first = bound_pass_incumbents(monkeypatch, n, r, k)[0]
+        first = oracle_products(monkeypatch, n, r, k)[0][0]
         counts = optimize._grid_counts(k, r)
         block = np.zeros(r + 1)
         block[0], block[-1] = k - k // 2, k // 2
@@ -1032,7 +1054,14 @@ class TestGridOracle:
         # Recomputed at each rise of the best head value, the incumbent would
         # take 154 and 71 products over all tails here; recomputed only when a
         # head's value beats it, it takes a few.
-        assert 1 <= len(bound_pass_incumbents(monkeypatch, n, r, k)) <= 5
+        assert 1 <= len(oracle_products(monkeypatch, n, r, k)[0]) <= 5
+
+    @pytest.mark.parametrize("n,r,k,tuples", [(2, 3, 24, 5903), (3, 2, 12, 5699), (2, 4, 16, 31177)])
+    def test_kept_tuple_counts_are_pinned(self, monkeypatch, n, r, k, tuples):
+        # Each kept head is scored once against each tail from its last index
+        # on: no head is refolded per tail, and no pair is scored twice.
+        pairs = oracle_products(monkeypatch, n, r, k)[1]
+        assert len(pairs) == len(set(pairs)) == tuples
 
     def test_one_head_per_chunk(self, monkeypatch):
         # At (2, 2, 48) the bound pass steps its one-head chunks before it drops them.
@@ -1048,6 +1077,15 @@ class TestGridOracle:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError, match="ordered grid tuples, over the budget"):
             grid_oracle(2, 4, 24)
+
+    @pytest.mark.parametrize("args", [(3000, 2, 10), (10**9, 1, 1)])
+    def test_budget_guard_builds_no_huge_power(self, args):
+        # 66^3000 has more digits than Python converts to a string, and 2^(10^9)
+        # takes 10^9 bits: the guard refuses both without building them.
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="ordered grid tuples, over the budget"):
+            grid_oracle(*args)
+        assert time.perf_counter() - started < 1.0
 
     def test_element_budget_guard(self):
         # C(10002, 2) = 50,015,001 grid pmfs pass the tuple budget at n = 1.
