@@ -74,8 +74,8 @@ GRID_BUDGET = 100_000_000
 #: pmfs of r + 1 entries each, 32 MiB of float64 at the cap.  At n = 1 the
 #: tuple budget alone would admit arrays of gigabytes.
 GRID_ELEMENTS = 1 << 22
-#: The grid oracle works on chunks of heads whose arrays hold about this many
-#: elements (more only when one head needs more).
+#: The grid oracle's chunks of heads and batches of kept (head, tail) pairs hold
+#: about this many elements (more only when one head needs more).
 _ORACLE_CHUNK = 1 << 16
 #: Final start values closer than this count as one local value.
 _DISTINCT_TOL = 1e-8
